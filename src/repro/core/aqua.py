@@ -246,7 +246,9 @@ class AquaMitigation(MitigationScheme):
     ) -> None:
         """Vectorized epoch feed; exact-equivalent to the scalar loop.
 
-        Two regimes (DESIGN.md §11):
+        Instrumented epochs (telemetry and/or faults attached) run
+        :meth:`_instrumented_epoch`.  Clean epochs take one of two
+        regimes (DESIGN.md §11):
 
         * **Eventless skip** -- when no row is quarantined, no table row
           is pinned, and the tracker proves the epoch's per-row totals
@@ -261,16 +263,12 @@ class AquaMitigation(MitigationScheme):
           may be quarantined -- or that the kernel flags (spurious
           installs) -- take the full translate/quarantine path.
         """
-        if not self._epoch_fast_path_ok(rows, counts):
+        span = self._fast_epoch_span(rows, counts, start_ns, dt_ns)
+        if span is None:
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
-        total = int(counts.sum())
-        last_now = start_ns + dt_ns * (total - int(counts[-1]))
-        epoch_of = self.refresh.epoch_of
-        if epoch_of(start_ns) != epoch_of(last_now):
-            # The chunk timestamps straddle a refresh boundary (only
-            # possible with mismatched timing configs): the scalar
-            # loop's per-chunk epoch sync is then load-bearing.
-            return self._scalar_epoch(rows, counts, start_ns, dt_ns)
+        if self.instrumented:
+            return self._instrumented_epoch(rows, counts, start_ns, dt_ns)
+        total, last_now = span
         self._sync_epoch(start_ns)
         tables = self.tables
         tracker = self.tracker
@@ -285,49 +283,17 @@ class AquaMitigation(MitigationScheme):
             if tracker.epoch_cannot_cross(uniq, totals):
                 stats.accesses += total
                 tracker.settle_epoch_counters(rows, counts)
-                if mm:
-                    tables.outcome_counts[
-                        LookupOutcome.BLOOM_FILTERED
-                    ] += total
-                    tables.bloom.queries += total
-                    tables.bloom.filtered += total
-                else:
-                    tables.fpt.lookups += total
+                self._settle_cold_lookups(total)
                 self.now_ns = last_now
                 return
-        # Direct per-bank dispatch: when the ART is the modulo-mapped
-        # Misra-Gries tracker with no telemetry, call the bank kernels
-        # straight from the loop and settle the rank-level counters in
-        # bulk afterwards (they are commutative integer sums; table-row
-        # observes go through ``observe_batch``, which maintains its
-        # own rank counters, so they are unaffected).
         nb = self._tracker_mod_banks
-        direct = None
-        if nb is not None and not tracker._telemetry.enabled:
-            fast_banks = [
-                getattr(tracker._banks[b], "observe_fast", None)
-                for b in range(nb)
-            ]
-            if all(fn is not None for fn in fast_banks):
-                direct = fast_banks
+        direct = self._bank_kernels()
         kernel = tracker.chunk_kernel() if direct is None else None
         feed = tracker.sparse_feed_mask(uniq, totals, self._tracker_reserve)
         feed_l = feed[inverse].tolist()
         rows_l = rows.tolist()
         counts_l = counts.tolist()
-        if mm:
-            group_size = tables.bloom.group_size
-            # Bloom-positive groups: a bit is set iff its group is in
-            # ``_valid_in_group``, so the keys are exactly the groups a
-            # lookup would not filter.  Grow-only within the epoch --
-            # releases only ever turn groups negative, which merely
-            # sends their rows down the (still exact) full path.
-            dirty = set(tables.bloom._valid_in_group)
-            keys_l = (rows // group_size).tolist()
-        else:
-            group_size = 0
-            dirty = {row for row, _ in tables.fpt.items()}
-            keys_l = rows_l
+        dirty, keys_l = self._mappable_keys(rows, rows_l)
         translate = self._translate_batch
         quarantine = self._quarantine
         now = start_ns
@@ -388,7 +354,7 @@ class AquaMitigation(MitigationScheme):
                     physical = step.physical_row
                 stats.busy_ns += busy
                 stats.stall_ns += stall
-                dirty.add(row // group_size if mm else row)
+                dirty.add(key)
             now += cnt * dt_ns
         if direct is not None:
             # Rank-level counters for the fed chunks, settled in bulk.
@@ -399,16 +365,142 @@ class AquaMitigation(MitigationScheme):
                 np.asarray(settle_rows, dtype=np.int64),
                 np.asarray(settle_counts, dtype=np.int64),
             )
-        if cold_acts:
-            if mm:
-                tables.outcome_counts[
-                    LookupOutcome.BLOOM_FILTERED
-                ] += cold_acts
-                tables.bloom.queries += cold_acts
-                tables.bloom.filtered += cold_acts
-            else:
-                tables.fpt.lookups += cold_acts
+        self._settle_cold_lookups(cold_acts)
         self.now_ns = last_now
+
+    def _bank_kernels(self) -> Optional[list]:
+        """Per-bank ``observe_fast`` kernels for direct dispatch, or ``None``.
+
+        When the ART is the modulo-mapped Misra-Gries tracker, the
+        fused loops call the bank kernels straight and settle the
+        rank-level counters in bulk afterwards (they are commutative
+        integer sums; table-row observes go through ``observe_batch``,
+        which maintains its own rank counters, so they are unaffected).
+        """
+        nb = self._tracker_mod_banks
+        if nb is None:
+            return None
+        return [self.tracker._banks[b].observe_fast for b in range(nb)]
+
+    def _mappable_keys(
+        self, rows: np.ndarray, rows_l: list
+    ) -> Tuple[set, list]:
+        """The fused loops' dirty set and each chunk's key into it
+        (``rows_l`` is ``rows.tolist()``).
+
+        Memory-mapped: the bloom-positive groups (a bit is set iff its
+        group is in ``_valid_in_group``, so these are exactly the groups
+        a lookup would not filter) and each row's group.  SRAM: the
+        mapped rows and the rows themselves.  A chunk whose key is not
+        dirty is an identity lookup.  The loops add a key whenever they
+        quarantine its row; releases only ever turn keys clean, which
+        merely sends their rows down the (still exact) full path.
+        """
+        tables = self.tables
+        if isinstance(tables, MemoryMappedTables):
+            return (
+                set(tables.bloom._valid_in_group),
+                (rows // tables.bloom.group_size).tolist(),
+            )
+        return {row for row, _ in tables.fpt.items()}, rows_l
+
+    def _settle_cold_lookups(self, n: int) -> None:
+        """Count ``n`` identity lookups of provably unmapped rows."""
+        if not n:
+            return
+        tables = self.tables
+        if isinstance(tables, MemoryMappedTables):
+            tables.outcome_counts[LookupOutcome.BLOOM_FILTERED] += n
+            tables.bloom.queries += n
+            tables.bloom.filtered += n
+        else:
+            tables.fpt.lookups += n
+
+    def _instrumented_epoch(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        start_ns: float,
+        dt_ns: float,
+    ) -> None:
+        """Fused feed of an epoch with telemetry and/or faults attached.
+
+        Bit-identical to the scalar loop -- results, the event stream in
+        order, metrics and fault schedules (DESIGN.md §8).  Unlike the
+        clean loop it feeds every chunk (install events and
+        ``tracker_drop`` checks are per chunk), so there is no eventless
+        skip or sparse settle.  Each chunk keeps the scalar order --
+        ``now_ns``, translate, the ``tracker_drop`` check, tracker feed,
+        quarantine -- and the dirty-set split: only rows whose bloom
+        group (memory-mapped) or FPT entry (SRAM) may be mapped pay a
+        real lookup, the rest are identity lookups counted in bulk.
+        The ``tracker_drop`` checks are drawn as one block up front and
+        fired at their chunks; the lookup latencies reach the
+        ``fpt_lookup_ns`` histogram in one bulk observe at epoch end,
+        before the simulator's epoch snapshot reads it.
+        """
+        rows_l = rows.tolist()
+        counts_l = counts.tolist()
+        start, now = self._instrumented_head(rows_l, counts_l, start_ns, dt_ns)
+        tables = self.tables
+        tracker = self.tracker
+        stats = self.stats
+        dirty, keys_l = self._mappable_keys(rows[start:], rows_l[start:])
+        cold_ns = (
+            tables.BLOOM_NS
+            if isinstance(tables, MemoryMappedTables)
+            else tables.LOOKUP_NS
+        )
+        nb = self._tracker_mod_banks
+        direct = self._bank_kernels()
+        kernel = tracker.chunk_kernel() if direct is None else None
+        translate = self._translate_batch
+        quarantine = self._quarantine
+        drops = self._tracker_drop_block(len(rows_l) - start)
+        latencies: list = []
+        record = latencies.append
+        cold_acts = 0
+        trig_sum = 0
+        for k, (row, cnt, key) in enumerate(
+            zip(rows_l[start:], counts_l[start:], keys_l)
+        ):
+            self.now_ns = now
+            stats.accesses += cnt
+            if key in dirty:
+                physical, lookup_ns, _ = translate(row, cnt)
+            else:
+                physical = row
+                lookup_ns = cold_ns
+                cold_acts += cnt
+            record(lookup_ns)
+            if k in drops:
+                self._fire_tracker_drop(drops[k], physical)
+            crossings = (
+                direct[physical % nb](physical, cnt)
+                if direct is not None
+                else kernel(physical, cnt)
+            )
+            if crossings:
+                trig_sum += crossings
+                busy = 0.0
+                stall = 0.0
+                for _ in range(crossings):
+                    step = quarantine(row, physical, now)
+                    busy += step.busy_ns
+                    stall += step.stalled_ns
+                    physical = step.physical_row
+                stats.busy_ns += busy
+                stats.stall_ns += stall
+                dirty.add(key)
+            now += cnt * dt_ns
+        if direct is not None:
+            tracker.observations += int(counts[start:].sum())
+            tracker.triggers += trig_sum
+        self._settle_cold_lookups(cold_acts)
+        self.telemetry.observe_many(
+            "fpt_lookup_ns", latencies, scheme=self.name
+        )
+
 
     # -------------------------------------------------------------- internals
 

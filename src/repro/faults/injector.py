@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.telemetry import NULL_TELEMETRY
@@ -209,10 +209,44 @@ class FaultInjector:
             return False
         if state.rng.random() >= state.rate:
             return False
+        self.fire(site, state.offered, ts_ns, **attrs)
+        return True
+
+    def draw_block(self, site: str, n: int) -> List[int]:
+        """Make ``n`` consecutive checks against ``site`` at once.
+
+        Consumes exactly the draws ``n`` :meth:`inject` calls would and
+        returns the 0-based offsets (ascending) of the checks that fire;
+        check ``offset`` is number ``offered_before + offset + 1``.  The
+        caller owes one :meth:`fire` per offset, in stream order, with
+        that number -- together they are bit-identical to the ``n``
+        sequential checks (RNG state, counters, digest, events, metrics)
+        even when fires of other sites land in between.  The block is
+        committed up front: a caller that stops early leaves ``offered``
+        and the stream as if all ``n`` checks were made.
+        """
+        if n < 0:
+            raise ValueError("block size must be >= 0")
+        state = self._sites[site]
+        state.offered += n
+        rate = state.rate
+        if rate <= 0.0:
+            return []
+        draw = state.rng.random
+        return [i for i in range(n) if draw() < rate]
+
+    def fire(self, site: str, check_no: int, ts_ns: float = 0.0, **attrs) -> None:
+        """Record that check number ``check_no`` of ``site`` fired.
+
+        The post-draw bookkeeping shared by :meth:`inject` and the
+        :meth:`draw_block` callers: counters, the schedule digest, the
+        ``fault`` event and the ``faults_injected_total`` metric.
+        """
+        state = self._sites[site]
         state.injected += 1
         self.total_injected += 1
         self._digest = zlib.crc32(
-            f"{site}@{state.offered}".encode("ascii"), self._digest
+            f"{site}@{check_no}".encode("ascii"), self._digest
         )
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -220,7 +254,6 @@ class FaultInjector:
                 "fault", ts_ns, site=site, seq=state.injected, **attrs
             )
             telemetry.inc("faults_injected_total", site=site)
-        return True
 
     # ------------------------------------------------------------- reporting
 

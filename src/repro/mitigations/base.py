@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -166,9 +166,36 @@ class MitigationScheme(abc.ABC):
             "tracker_drop", ts_ns=self.now_ns,
             scheme=self.name, row=physical_row,
         ):
-            tracker = getattr(self, "tracker", None)
-            if tracker is not None and tracker.drop(physical_row):
-                self.tracker_drops += 1
+            self._drop_tracker_entry(physical_row)
+
+    def _drop_tracker_entry(self, physical_row: int) -> None:
+        tracker = getattr(self, "tracker", None)
+        if tracker is not None and tracker.drop(physical_row):
+            self.tracker_drops += 1
+
+    def _tracker_drop_block(self, n: int) -> Dict[int, int]:
+        """Draw the ``tracker_drop`` checks of ``n`` fused chunks at once.
+
+        Returns ``{chunk offset: check number}`` for the checks that
+        fire; the fused loop hands each to :meth:`_fire_tracker_drop`
+        when it reaches that chunk, so fires stay in stream order.
+        """
+        faults = self.faults
+        if not faults.enabled:
+            return {}
+        base = faults.offered("tracker_drop") + 1
+        return {
+            offset: base + offset
+            for offset in faults.draw_block("tracker_drop", n)
+        }
+
+    def _fire_tracker_drop(self, check_no: int, physical_row: int) -> None:
+        """A pre-drawn ``tracker_drop`` check fired at the current chunk."""
+        self.faults.fire(
+            "tracker_drop", check_no, self.now_ns,
+            scheme=self.name, row=physical_row,
+        )
+        self._drop_tracker_entry(physical_row)
 
     def collect_metrics(self, telemetry) -> None:
         """Copy scheme statistics into the metrics registry.
@@ -312,10 +339,14 @@ class MitigationScheme(abc.ABC):
         exactly as the simulator's historical per-chunk loop did.
 
         This scalar loop *defines* the semantics: subclasses that
-        override it with vectorized fast paths must produce bit-identical
-        scheme state (the equivalence suite enforces this), and must
-        fall back to this loop whenever faults or telemetry are
-        attached, since those observe individual chunks.
+        override it with fused or vectorized paths must produce
+        bit-identical results (the equivalence suites enforce this).
+        The overrides of AQUA (both table modes) and RRS also run
+        instrumented epochs -- telemetry and/or faults attached -- on
+        a fused loop that reproduces the scalar event stream, metrics
+        and fault schedules exactly (DESIGN.md §8, §11); blockhammer,
+        victim-refresh and the baseline fall back to this loop
+        whenever :attr:`instrumented` is true.
         """
         access_batch = self.access_batch
         now = start_ns
@@ -333,21 +364,66 @@ class MitigationScheme(abc.ABC):
         """The scalar reference loop, callable from overrides as a fallback."""
         MitigationScheme.access_epoch(self, rows, counts, start_ns, dt_ns)
 
-    def _epoch_fast_path_ok(self, rows: np.ndarray, counts: np.ndarray) -> bool:
-        """Whether a vectorized epoch override may engage.
+    @property
+    def instrumented(self) -> bool:
+        """Whether telemetry or fault injection is attached."""
+        return self.faults.enabled or self.telemetry.enabled
 
-        Faults and telemetry hook individual chunk events, and the
-        scalar path reports bounds/validation errors at the exact
-        offending chunk; vectorized paths bail to the scalar loop in
-        all those cases.
+    def _fast_epoch_span(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        start_ns: float,
+        dt_ns: float,
+    ) -> Optional[Tuple[int, float]]:
+        """``(activations, last chunk's timestamp)`` when an epoch
+        override may leave the scalar loop, else ``None``.
+
+        The scalar path reports bounds/validation errors at the exact
+        offending chunk, and its per-chunk epoch sync is load-bearing
+        when the chunk timestamps straddle a refresh boundary (only
+        possible with mismatched timing configs); overrides bail to it
+        in all those cases.  Whether an *instrumented* epoch may leave
+        it is each override's own decision (:attr:`instrumented`).
         """
-        if self.faults.enabled or self.telemetry.enabled:
-            return False
-        if len(rows) == 0:
-            return False
-        if int(counts.min()) < 1:
-            return False
-        return 0 <= int(rows.min()) and int(rows.max()) < self.visible_rows
+        if len(rows) == 0 or int(counts.min()) < 1:
+            return None
+        if not (0 <= int(rows.min()) and int(rows.max()) < self.visible_rows):
+            return None
+        total = int(counts.sum())
+        last_now = start_ns + dt_ns * (total - int(counts[-1]))
+        epoch_of = self.refresh.epoch_of
+        if epoch_of(start_ns) != epoch_of(last_now):
+            return None
+        return total, last_now
+
+    def _instrumented_head(
+        self,
+        rows_l: List[int],
+        counts_l: List[int],
+        start_ns: float,
+        dt_ns: float,
+    ) -> Tuple[int, float]:
+        """Feed an instrumented epoch's leading chunks to ``access_batch``.
+
+        Chunk 0 always goes this way, so the ``fpt_lookup_ns`` series is
+        registered at its scalar position before the fused loop defers
+        the rest of the epoch's observations; so does every chunk while
+        a postponed refresh (``refresh_postpone``) holds the previous
+        epoch open, since only the scalar path re-checks the boundary
+        per chunk.  Returns the index and timestamp of the first chunk
+        left for the fused loop.
+        """
+        access_batch = self.access_batch
+        target = self.refresh.epoch_of(start_ns)
+        n = len(rows_l)
+        now = start_ns
+        i = 0
+        while i < n and (i == 0 or self.current_epoch != target):
+            access_batch(rows_l[i], counts_l[i], now)
+            now += counts_l[i] * dt_ns
+            i += 1
+        return i, now
 
     def table_dram_busy_ns(self) -> float:
         """Channel time consumed by in-DRAM mapping-table accesses."""

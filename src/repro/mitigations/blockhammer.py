@@ -182,15 +182,13 @@ class Blockhammer(MitigationScheme):
         ledger.  The CBF RowBlocker's estimates are rotation- and
         order-dependent, so that estimator keeps the scalar loop.
         """
-        if self.row_blocker is not None or not self._epoch_fast_path_ok(
-            rows, counts
-        ):
+        span = (
+            None if self.row_blocker is not None or self.instrumented
+            else self._fast_epoch_span(rows, counts, start_ns, dt_ns)
+        )
+        if span is None:
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
-        total = int(counts.sum())
-        last_now = start_ns + dt_ns * (total - int(counts[-1]))
-        epoch_of = self.refresh.epoch_of
-        if epoch_of(start_ns) != epoch_of(last_now):
-            return self._scalar_epoch(rows, counts, start_ns, dt_ns)
+        total, last_now = span
         self._sync_epoch(start_ns)
         stats = self.stats
         stats.accesses += total

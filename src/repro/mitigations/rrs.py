@@ -44,6 +44,9 @@ class RandomizedRowSwap(MitigationScheme):
 
     name = "rrs"
 
+    #: Constant-latency SRAM RIT lookup (3-4 cycles).
+    RIT_LOOKUP_NS = 1.5
+
     def __init__(
         self,
         rowhammer_threshold: int = 1000,
@@ -103,8 +106,7 @@ class RandomizedRowSwap(MitigationScheme):
         if not 0 <= logical_row < self.visible_rows:
             raise ValueError(f"row {logical_row} outside memory")
         physical = self._map.get(logical_row, logical_row)
-        # Constant-latency SRAM RIT lookup (3-4 cycles).
-        return physical, 1.5, None
+        return physical, self.RIT_LOOKUP_NS, None
 
     def _observe(self, physical_row: int) -> bool:
         return self.tracker.observe(physical_row)
@@ -160,15 +162,15 @@ class RandomizedRowSwap(MitigationScheme):
         but the per-chunk :meth:`access_batch` framing (AccessResult
         construction, telemetry branches) is fused away, and an epoch
         with no swapped rows and a provably crossing-free stream
-        settles as bulk counter arithmetic.
+        settles as bulk counter arithmetic.  Instrumented epochs take
+        :meth:`_instrumented_epoch` instead.
         """
-        if not self._epoch_fast_path_ok(rows, counts):
+        span = self._fast_epoch_span(rows, counts, start_ns, dt_ns)
+        if span is None:
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
-        total = int(counts.sum())
-        last_now = start_ns + dt_ns * (total - int(counts[-1]))
-        epoch_of = self.refresh.epoch_of
-        if epoch_of(start_ns) != epoch_of(last_now):
-            return self._scalar_epoch(rows, counts, start_ns, dt_ns)
+        if self.instrumented:
+            return self._instrumented_epoch(rows, counts, start_ns, dt_ns)
+        total, last_now = span
         self._sync_epoch(start_ns)
         tracker = self.tracker
         stats = self.stats
@@ -203,6 +205,51 @@ class RandomizedRowSwap(MitigationScheme):
                 stats.busy_ns += busy
             now += cnt * dt_ns
         self.now_ns = last_now
+
+    def _instrumented_epoch(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        start_ns: float,
+        dt_ns: float,
+    ) -> None:
+        """Fused feed of an epoch with telemetry and/or faults attached.
+
+        Bit-identical to the scalar loop, events and fault schedules
+        included (DESIGN.md §8): every chunk is fed, in stream order,
+        with ``now_ns`` set first (install and fault events read it);
+        the ``tracker_drop`` checks are drawn as one block and fired at
+        their chunks; the constant-latency lookups reach the
+        ``fpt_lookup_ns`` histogram in one bulk observe at epoch end.
+        """
+        rows_l = rows.tolist()
+        counts_l = counts.tolist()
+        start, now = self._instrumented_head(rows_l, counts_l, start_ns, dt_ns)
+        stats = self.stats
+        kernel = self.tracker.chunk_kernel()
+        map_get = self._map.get
+        mitigate = self._mitigate
+        drops = self._tracker_drop_block(len(rows_l) - start)
+        for k, (row, cnt) in enumerate(zip(rows_l[start:], counts_l[start:])):
+            self.now_ns = now
+            stats.accesses += cnt
+            physical = map_get(row, row)
+            if k in drops:
+                self._fire_tracker_drop(drops[k], physical)
+            crossings = kernel(physical, cnt)
+            if crossings:
+                busy = 0.0
+                for _ in range(crossings):
+                    step = mitigate(row, physical, now)
+                    busy += step.busy_ns
+                    physical = step.physical_row
+                stats.busy_ns += busy
+            now += cnt * dt_ns
+        self.telemetry.observe_many(
+            "fpt_lookup_ns",
+            [self.RIT_LOOKUP_NS] * (len(rows_l) - start),
+            scheme=self.name,
+        )
 
     # -------------------------------------------------------------- internals
 

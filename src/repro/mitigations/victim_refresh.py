@@ -129,13 +129,13 @@ class VictimRefresh(MitigationScheme):
         timestamps, preserving the float accumulation order of
         ``stats.busy_ns`` (non-crossing chunks add exactly ``0.0``).
         """
-        if not self._epoch_fast_path_ok(rows, counts):
+        span = (
+            None if self.instrumented
+            else self._fast_epoch_span(rows, counts, start_ns, dt_ns)
+        )
+        if span is None:
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
-        total = int(counts.sum())
-        last_now = start_ns + dt_ns * (total - int(counts[-1]))
-        epoch_of = self.refresh.epoch_of
-        if epoch_of(start_ns) != epoch_of(last_now):
-            return self._scalar_epoch(rows, counts, start_ns, dt_ns)
+        total, last_now = span
         self._sync_epoch(start_ns)
         tracker = self.tracker
         stats = self.stats

@@ -79,6 +79,12 @@ class EventTracer:
 
     def emit(self, kind: str, ts_ns: float, **attrs) -> bool:
         """Offer one event; returns whether it was recorded."""
+        return self.record(kind, ts_ns, attrs)
+
+    def record(self, kind: str, ts_ns: float, attrs: Dict[str, Any]) -> bool:
+        """:meth:`emit` with the attributes as a dict the event takes
+        over (spares the forwarding ``Telemetry.event`` a second
+        keyword-argument copy per event)."""
         self.offered += 1
         if self.sample_rate < 1.0:
             self._acc += self.sample_rate
@@ -86,7 +92,7 @@ class EventTracer:
                 self.sampled_out += 1
                 return False
             self._acc -= 1.0
-        self._ring.append(TraceEvent(ts_ns=ts_ns, kind=kind, attrs=attrs))
+        self._ring.append(TraceEvent(ts_ns, kind, attrs))
         return True
 
     def events(self) -> List[TraceEvent]:

@@ -17,7 +17,11 @@ Series names follow the ``name{label=value,...}`` convention, e.g.::
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -138,6 +142,28 @@ class Histogram(Metric):
             counts[-1] += 1
         self._count[key] = self._count.get(key, 0) + 1
         self._sum[key] = self._sum.get(key, 0.0) + value
+
+    def observe_many(self, values: Sequence[float], **labels) -> None:
+        """Bulk :meth:`observe`: bit-identical to observing each value
+        in order.  Bucket counts and the count add in bulk; the sum is
+        sequential left-to-right float addition (``functools.reduce``),
+        never builtin ``sum`` (compensated from Python 3.12) or
+        ``np.sum`` (pairwise)."""
+        if not len(values):
+            return
+        key = label_key(labels)
+        counts = self._hist.get(key)
+        if counts is None:
+            counts = [0.0] * (len(self.bounds) + 1)
+            self._hist[key] = counts
+        # ``side="left"`` picks the first bound >= value, as the scan in
+        # observe() does; NaN sorts past every bound, into +Inf.
+        index = np.searchsorted(self.bounds, values, side="left")
+        per_bucket = np.bincount(index, minlength=len(counts)).tolist()
+        for i, n in enumerate(per_bucket):
+            counts[i] += n
+        self._count[key] = self._count.get(key, 0) + len(values)
+        self._sum[key] = reduce(add, values, self._sum.get(key, 0.0))
 
     def count(self, **labels) -> int:
         return self._count.get(label_key(labels), 0)

@@ -145,11 +145,11 @@ class AggressorTracker(abc.ABC):
     def chunk_kernel(self) -> Callable[[int, int], int]:
         """A per-chunk feed callable for fused scheme loops.
 
-        Returns a ``kernel(row, count) -> crossings`` with exactly
-        :meth:`observe_batch`'s semantics (counters included), possibly
-        specialised for the telemetry-free case.  Schemes' vectorized
-        epoch paths call this once per epoch and then invoke the kernel
-        per chunk, skipping the dispatch layers of the scalar path.
+        Returns a ``kernel(row, count) -> crossings`` for ``count >= 1``
+        with exactly :meth:`observe_batch`'s semantics (counters and
+        events included).  Schemes' fused epoch paths call this once
+        per epoch and then invoke the kernel per chunk, skipping the
+        dispatch layers of the scalar path.
         """
         return self.observe_batch
 
@@ -298,8 +298,6 @@ class PerBankTracker(AggressorTracker):
         return out
 
     def chunk_kernel(self) -> Callable[[int, int], int]:
-        if self._telemetry.enabled:
-            return self.observe_batch
         bank_of = self._bank_of
         banks = self._banks
         fast = {

@@ -77,11 +77,12 @@ class MisraGriesBank(AggressorTracker):
         self._buckets: Dict[int, Dict[int, None]] = {}
         self._min_count = 0
         self.spurious_installs = 0
+        #: Traced installs/evictions not yet added to the registry
+        #: (see :meth:`settle_event_counters`).
+        self.unsettled_installs = 0
+        self.unsettled_evictions = 0
 
     # ------------------------------------------------------------- internals
-
-    def _bucket_add(self, row_id: int, count: int) -> None:
-        self._buckets.setdefault(count, {})[row_id] = None
 
     def _bucket_remove(self, row_id: int, count: int) -> None:
         bucket = self._buckets[count]
@@ -94,37 +95,6 @@ class MisraGriesBank(AggressorTracker):
         while self._counts and self._min_count not in self._buckets:
             self._min_count += 1
 
-    def _crossings(self, old: int, new: int) -> int:
-        """Multiples of the threshold crossed moving from old to new."""
-        return new // self.threshold - old // self.threshold
-
-    def _install(self, row_id: int, base: int, count: int) -> int:
-        """Install ``row_id`` at estimate ``count``; return crossings.
-
-        ``base`` is the estimate's starting context (the spill value the
-        entry inherited): a mitigation fires only if the estimate
-        *crossed* a threshold multiple on the way from ``base`` to
-        ``count``, matching Graphene's multiple-of-T trigger rule.  When
-        ``count`` itself exceeds the threshold, any such firing is a
-        spurious mitigation (Sec. IV-F): the row never truly received
-        ``threshold`` activations.
-        """
-        self._counts[row_id] = count
-        self._bucket_add(row_id, count)
-        if len(self._counts) == 1 or count < self._min_count:
-            self._min_count = count
-        crossings = self._crossings(base, count)
-        if crossings > 0 and count >= self.threshold and base > 0:
-            self.spurious_installs += crossings
-        if self._telemetry.enabled:
-            self._telemetry.event(
-                "tracker_install", self._clock(),
-                row=row_id, estimate=count, spill=base,
-                spurious=bool(crossings > 0 and base > 0),
-            )
-            self._telemetry.inc("tracker_installs_total")
-        return crossings
-
     # -------------------------------------------------------------- interface
 
     def observe(self, row_id: int) -> bool:
@@ -135,57 +105,25 @@ class MisraGriesBank(AggressorTracker):
             raise ValueError("count must be non-negative")
         if n == 0:
             return 0
-        self.observations += n
-        crossings = 0
-        count = self._counts.get(row_id)
-        if count is not None:
-            self._bucket_remove(row_id, count)
-            new_count = count + n
-            self._counts[row_id] = new_count
-            self._bucket_add(row_id, new_count)
-            self._advance_min()
-            crossings = self._crossings(count, new_count)
-        elif len(self._counts) < self.capacity:
-            crossings = self._install(row_id, self.spill, self.spill + n)
-        else:
-            self._advance_min()
-            # Every miss increments the spill counter; the row installs
-            # at the first miss where the spill reaches the current
-            # minimum (evicting a minimum entry), and the batch's
-            # remaining activations then increment the fresh entry.
-            misses_until_install = max(1, self._min_count - self.spill)
-            if n >= misses_until_install:
-                self.spill += misses_until_install
-                victim = next(iter(self._buckets[self._min_count]))
-                self._bucket_remove(victim, self._min_count)
-                del self._counts[victim]
-                if self._telemetry.enabled:
-                    self._telemetry.event(
-                        "tracker_evict", self._clock(),
-                        row=victim, estimate=self._min_count,
-                        replaced_by=row_id,
-                    )
-                    self._telemetry.inc("tracker_evictions_total")
-                self._advance_min()
-                remaining = n - misses_until_install
-                crossings = self._install(
-                    row_id, self.spill, self.spill + 1 + remaining
-                )
-            else:
-                self.spill += n
-        if crossings:
-            self.triggers += crossings
-        return crossings
+        return self.observe_fast(row_id, n)
 
     def observe_fast(self, row_id: int, n: int) -> int:
-        """Telemetry-free :meth:`observe_batch` with the helpers inlined.
+        """:meth:`observe_batch` for ``n >= 1``, with every helper inlined.
 
-        Callers (``PerBankTracker.chunk_kernel`` and the schemes'
-        vectorized epoch paths) guarantee ``n >= 1`` and no attached
-        telemetry.  This must mirror ``observe_batch`` *exactly* -- the
-        equivalence suite compares full bank state after interleaved
-        use of both entry points -- the only deltas are skipped
-        telemetry branches and inlined bucket/min-pointer maintenance.
+        The kernel the fused epoch loops call per chunk (directly or
+        via ``PerBankTracker.chunk_kernel``).  A hit increments the
+        row's entry.  A miss with a free slot installs the row at
+        ``spill + n``; with a full table every miss increments the
+        spill counter, and the row installs at the first miss where
+        the spill reaches the current minimum (evicting a minimum
+        entry), the batch's remaining activations then incrementing
+        the fresh entry.  A mitigation fires only if the estimate
+        *crossed* a threshold multiple on the way from its starting
+        context to the new count (Graphene's multiple-of-T rule); an
+        install whose inherited spill carries it across the threshold
+        is a spurious mitigation (Sec. IV-F).  Installs and evictions
+        emit ``tracker_install``/``tracker_evict`` events when
+        telemetry is attached; their counters settle at snapshot time.
         """
         self.observations += n
         threshold = self.threshold
@@ -235,13 +173,19 @@ class MisraGriesBank(AggressorTracker):
             if not bucket:
                 del buckets[min_count]
             del counts[victim]
+            if self._telemetry.enabled:
+                self._telemetry.event(
+                    "tracker_evict", self._clock(),
+                    row=victim, estimate=min_count, replaced_by=row_id,
+                )
+                self.unsettled_evictions += 1
             if counts:
                 while min_count not in buckets:
                     min_count += 1
             self._min_count = min_count
             base = spill
             new_count = spill + 1 + (n - misses)
-        # _install, inlined.
+        # Install at ``new_count``, inheriting ``base``.
         counts[row_id] = new_count
         other = buckets.get(new_count)
         if other is None:
@@ -251,9 +195,16 @@ class MisraGriesBank(AggressorTracker):
         if len(counts) == 1 or new_count < self._min_count:
             self._min_count = new_count
         crossings = new_count // threshold - base // threshold
+        if crossings > 0 and new_count >= threshold and base > 0:
+            self.spurious_installs += crossings
+        if self._telemetry.enabled:
+            self._telemetry.event(
+                "tracker_install", self._clock(),
+                row=row_id, estimate=new_count, spill=base,
+                spurious=bool(crossings > 0 and base > 0),
+            )
+            self.unsettled_installs += 1
         if crossings > 0:
-            if new_count >= threshold and base > 0:
-                self.spurious_installs += crossings
             self.triggers += crossings
             return crossings
         return 0
@@ -295,6 +246,28 @@ class MisraGriesBank(AggressorTracker):
         ):
             return np.ones(len(unique_rows), dtype=bool)
         return unique_totals >= self.threshold
+
+    def settle_event_counters(self, telemetry) -> None:
+        """Add the traced installs/evictions since the last settle to
+        ``tracker_installs_total``/``tracker_evictions_total``.
+
+        The hot path counts them locally (an integer add instead of a
+        registry update per event); collectors settle them when the
+        registry is read, at every epoch snapshot.  The totals are
+        exact integers either way.
+        """
+        if self.unsettled_installs:
+            telemetry.inc("tracker_installs_total", self.unsettled_installs)
+            self.unsettled_installs = 0
+        if self.unsettled_evictions:
+            telemetry.inc(
+                "tracker_evictions_total", self.unsettled_evictions
+            )
+            self.unsettled_evictions = 0
+
+    def collect_metrics(self, telemetry, **labels) -> None:
+        super().collect_metrics(telemetry, **labels)
+        self.settle_event_counters(telemetry)
 
     def estimate(self, row_id: int) -> int:
         return self._counts.get(row_id, 0)
@@ -360,3 +333,5 @@ class MisraGriesTracker(PerBankTracker):
         telemetry.registry.gauge("tracker_entries").set(
             sum(len(bank) for bank in self._banks.values()), **labels
         )
+        for bank in self._banks.values():
+            bank.settle_event_counters(telemetry)

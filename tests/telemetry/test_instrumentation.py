@@ -61,6 +61,27 @@ class TestEventCounterAgreement:
         )
         assert total == scheme.stats.migrations
 
+    def test_tracker_counters_settle_to_event_counts(self):
+        """Install/evict counters are counted locally and settled by the
+        collector; once settled they equal the events, and settling
+        twice adds nothing."""
+        telemetry = Telemetry()
+        scheme = AquaMitigation(
+            AquaConfig(
+                rowhammer_threshold=128, geometry=GEOMETRY, rqa_slots=64,
+                tracker_entries_per_bank=2,
+            ),
+            telemetry=telemetry,
+        )
+        _hammer(scheme)
+        counts = telemetry.tracer.kind_counts()
+        assert counts["tracker_install"] > 0 and counts["tracker_evict"] > 0
+        for _ in range(2):
+            scheme.collect_metrics(telemetry)
+            snapshot = telemetry.registry.snapshot()
+            assert snapshot["tracker_installs_total"] == counts["tracker_install"]
+            assert snapshot["tracker_evictions_total"] == counts["tracker_evict"]
+
     def test_event_timestamps_monotone_in_simulated_time(self):
         telemetry = Telemetry()
         scheme = _small_aqua(telemetry)

@@ -2,7 +2,9 @@
 
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.telemetry.metrics import (
     Counter,
@@ -84,6 +86,69 @@ class TestHistogram:
     def test_needs_at_least_one_bucket(self):
         with pytest.raises(ValueError):
             Histogram("empty", buckets=())
+
+
+def _one_by_one(values, start=()):
+    hist = Histogram("lat")
+    for value in list(start) + list(values):
+        hist.observe(value, scheme="aqua")
+    return hist
+
+
+def _bulk(values, start=()):
+    hist = Histogram("lat")
+    for value in start:
+        hist.observe(value, scheme="aqua")
+    hist.observe_many(values, scheme="aqua")
+    return hist
+
+
+class TestObserveMany:
+    """Bulk observe is bit-identical to repeated ``observe``."""
+
+    def _assert_same(self, values, start=()):
+        one, bulk = _one_by_one(values, start), _bulk(values, start)
+        assert list(bulk.series().items()) == list(one.series().items())
+        assert bulk.sum(scheme="aqua").hex() == one.sum(scheme="aqua").hex()
+        assert bulk.count(scheme="aqua") == one.count(scheme="aqua")
+
+    def test_sum_is_sequential_not_compensated(self):
+        # Compensated (Python >= 3.12 ``sum``, ``math.fsum``) or pairwise
+        # (``np.sum``) summation gives a different total for this order.
+        values = [1e16, 1.0, -1e16, 0.1] * 7
+        sequential = 0.0
+        for value in values:
+            sequential += value
+        assert math.fsum(values) != sequential
+        self._assert_same(values)
+        assert _bulk(values).sum(scheme="aqua") == sequential
+
+    def test_continues_an_existing_series(self):
+        self._assert_same([0.1, 0.2, 0.3] * 5, start=[1e16, 2.5, 0.7])
+
+    def test_bucket_edges_and_non_finite_values(self):
+        self._assert_same(
+            [1.0, 2.5, 2.5000001, 10_000.0, 10_001.0, math.inf, -3.0, 0.0]
+        )
+        nan = _bulk([math.nan, 1.0])
+        assert nan.series()["lat_bucket{le=+Inf,scheme=aqua}"] == 2.0
+        assert nan.series()["lat_bucket{le=1,scheme=aqua}"] == 1.0
+
+    def test_empty_bulk_registers_nothing(self):
+        hist = Histogram("lat")
+        hist.observe_many([], scheme="aqua")
+        assert hist.series() == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, min_value=-1e18, max_value=1e18),
+            max_size=60,
+        ),
+        st.lists(st.floats(0.0, 1e4), max_size=5),
+    )
+    def test_matches_repeated_observe(self, values, start):
+        self._assert_same(values, start)
 
 
 class TestRegistry:

@@ -1,10 +1,13 @@
 """CLI: every subcommand produces a sane report and exit code."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestSizing:
@@ -249,6 +252,19 @@ class TestChaos:
         assert main(argv + ["--seed", "8"]) == 0
         second = capsys.readouterr().out
         assert first != second
+
+    def test_output_matches_committed_golden(self, capsys):
+        """The chaos report is pinned across revisions, not only across
+        two code paths at one revision.  Regenerate (a reviewed diff)
+        with ``python -m repro chaos --seed 7 --fault-rate 1e-3
+        --epochs 1 --workloads xz gcc > tests/golden/chaos_seed7_xz_gcc.txt``.
+        """
+        assert main(
+            ["chaos", "--seed", "7", "--fault-rate", "1e-3",
+             "--epochs", "1", "--workloads", "xz", "gcc"]
+        ) == 0
+        with open(GOLDEN_DIR / "chaos_seed7_xz_gcc.txt", encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_trace_contains_fault_events(self, tmp_path, capsys):
         trace = str(tmp_path / "chaos.jsonl")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.telemetry import Telemetry
 from repro.trackers import (
     ExactTracker,
     HydraTracker,
@@ -78,6 +79,93 @@ def test_observe_fast_matches_observe_batch_state():
     assert fast.observations == slow.observations
     assert fast.triggers == slow.triggers
     assert fast.spurious_installs == slow.spurious_installs
+
+
+def _reference_observe_batch(bank: MisraGriesBank, row_id: int, n: int) -> int:
+    """Misra-Gries batch update written step by step (the oracle the
+    inlined ``observe_fast`` kernel is pinned to)."""
+    bank.observations += n
+    threshold = bank.threshold
+    telemetry = bank._telemetry
+
+    def bucket_add(row, count):
+        bank._buckets.setdefault(count, {})[row] = None
+
+    def install(row, base, count):
+        bank._counts[row] = count
+        bucket_add(row, count)
+        if len(bank._counts) == 1 or count < bank._min_count:
+            bank._min_count = count
+        crossings = count // threshold - base // threshold
+        if crossings > 0 and count >= threshold and base > 0:
+            bank.spurious_installs += crossings
+        if telemetry.enabled:
+            telemetry.event(
+                "tracker_install", bank._clock(),
+                row=row, estimate=count, spill=base,
+                spurious=bool(crossings > 0 and base > 0),
+            )
+        return crossings
+
+    crossings = 0
+    count = bank._counts.get(row_id)
+    if count is not None:
+        bank._bucket_remove(row_id, count)
+        bank._counts[row_id] = count + n
+        bucket_add(row_id, count + n)
+        bank._advance_min()
+        crossings = (count + n) // threshold - count // threshold
+    elif len(bank._counts) < bank.capacity:
+        crossings = install(row_id, bank.spill, bank.spill + n)
+    else:
+        bank._advance_min()
+        misses_until_install = max(1, bank._min_count - bank.spill)
+        if n >= misses_until_install:
+            bank.spill += misses_until_install
+            victim = next(iter(bank._buckets[bank._min_count]))
+            bank._bucket_remove(victim, bank._min_count)
+            del bank._counts[victim]
+            if telemetry.enabled:
+                telemetry.event(
+                    "tracker_evict", bank._clock(),
+                    row=victim, estimate=bank._min_count, replaced_by=row_id,
+                )
+            bank._advance_min()
+            crossings = install(
+                row_id, bank.spill, bank.spill + 1 + n - misses_until_install
+            )
+        else:
+            bank.spill += n
+    bank.triggers += crossings
+    return crossings
+
+
+@pytest.mark.parametrize("capacity", (1, 4, 64))
+def test_observe_fast_matches_reference_state_and_events(capacity):
+    """The inlined MG kernel equals the step-by-step reference: return
+    values, full bank state and the traced install/evict events."""
+    fast = MisraGriesBank(50, capacity=capacity)
+    ref = MisraGriesBank(50, capacity=capacity)
+    fast_tel, ref_tel = Telemetry(), Telemetry()
+    fast.attach_telemetry(fast_tel, lambda: 1.0)
+    ref.attach_telemetry(ref_tel, lambda: 1.0)
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        row = int(rng.integers(0, 12))
+        n = int(rng.integers(1, 30))
+        assert fast.observe_fast(row, n) == _reference_observe_batch(ref, row, n)
+    assert fast._counts == ref._counts
+    assert fast._buckets == ref._buckets
+    assert fast._min_count == ref._min_count
+    assert fast.spill == ref.spill
+    assert fast.observations == ref.observations
+    assert fast.triggers == ref.triggers
+    assert fast.spurious_installs == ref.spurious_installs
+    events = [(e.ts_ns, e.kind, tuple(e.attrs.items())) for e in fast_tel.tracer.events()]
+    assert events == [
+        (e.ts_ns, e.kind, tuple(e.attrs.items())) for e in ref_tel.tracer.events()
+    ]
+    assert fast.unsettled_installs == sum(kind == "tracker_install" for _, kind, _ in events)
 
 
 @pytest.mark.parametrize("name", sorted(TRACKER_FACTORIES))
