@@ -51,11 +51,9 @@ def _build_tracker(config: AquaConfig) -> AggressorTracker:
     """Instantiate the ART named by the config."""
     threshold = config.effective_threshold
     if config.tracker == "misra-gries":
-        banks = config.geometry.banks_per_rank
         return MisraGriesTracker(
             threshold,
-            num_banks=banks,
-            bank_of=lambda row: row % banks,
+            num_banks=config.geometry.banks_per_rank,
             entries_per_bank=config.tracker_entries_per_bank,
         )
     if config.tracker == "hydra":
@@ -84,7 +82,7 @@ class AquaMitigation(MitigationScheme):
         self.rqa = RowQuarantineArea(
             cfg.derived_rqa_slots,
             telemetry=self.telemetry,
-            clock=lambda: self.now_ns,
+            clock=self._clock(),
         )
         self.rqa_base = cfg.rqa_base_row
         self.tracker = _build_tracker(cfg)
@@ -156,9 +154,7 @@ class AquaMitigation(MitigationScheme):
         if fault_injector is not None:
             self.attach_faults(fault_injector)
         if self.telemetry.enabled:
-            self.tracker.attach_telemetry(
-                self.telemetry, lambda: self.now_ns
-            )
+            self.tracker.attach_telemetry(self.telemetry, self._clock())
             publish_costs(
                 self.telemetry,
                 MigrationCosts.for_row(cfg.geometry.row_bytes, cfg.timing),
@@ -172,7 +168,7 @@ class AquaMitigation(MitigationScheme):
             # SRAM tables have no cache to fault; only the Sec. V
             # filter chain carries the fpt_cache_* sites.
             self.tables.faults = self.faults
-            self.tables.clock = lambda: self.now_ns
+            self.tables.clock = self._clock()
 
     # ------------------------------------------------------------ scheme API
 

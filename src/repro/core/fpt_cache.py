@@ -13,12 +13,16 @@ Two deliberate design points from the paper:
   checks for any co-group entry with the singleton bit: a hit proves no
   *other* row of the group is quarantined, so the DRAM FPT lookup that a
   bloom-filter false positive would otherwise force can be skipped.
+
+A set's ways are created by the first install into it; until then the
+set reads as all-invalid, so lookups and probes of untouched sets
+allocate nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 
 RRIP_BITS = 2
@@ -52,9 +56,8 @@ class FptCache:
         self.ways = ways
         self.group_size = group_size
         self.num_sets = num_entries // ways
-        self._sets: List[List[FptCacheEntry]] = [
-            [FptCacheEntry() for _ in range(ways)] for _ in range(self.num_sets)
-        ]
+        #: Ways of the sets installed into at least once, keyed by set.
+        self._sets: Dict[int, List[FptCacheEntry]] = {}
         self.hits = 0
         self.misses = 0
         self.singleton_filtered = 0
@@ -75,9 +78,10 @@ class FptCache:
     def _group_of(self, row_id: int) -> int:
         return row_id // self.group_size
 
-    def _set_of(self, row_id: int) -> List[FptCacheEntry]:
+    def _set_of(self, row_id: int) -> Sequence[FptCacheEntry]:
+        """The ways of ``row_id``'s set (empty if never installed into)."""
         # Group-aligned indexing: every row of a group lands in one set.
-        return self._sets[self._group_of(row_id) % self.num_sets]
+        return self._sets.get(self._group_of(row_id) % self.num_sets, ())
 
     def lookup(self, row_id: int) -> Optional[int]:
         """Return the cached RQA slot for ``row_id``, or ``None`` on miss."""
@@ -110,7 +114,12 @@ class FptCache:
 
     def install(self, row_id: int, slot: int, singleton: bool) -> None:
         """Insert/refresh the entry for ``row_id`` (RRIP victim selection)."""
-        ways = self._set_of(row_id)
+        index = self._group_of(row_id) % self.num_sets
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [
+                FptCacheEntry() for _ in range(self.ways)
+            ]
         for entry in ways:
             if entry.valid and entry.tag == row_id:
                 entry.slot = slot
@@ -171,15 +180,14 @@ class FptCache:
 
     def set_group_singleton(self, group: int, singleton: bool) -> None:
         """Update the singleton bit on any cached entries of ``group``."""
-        ways = self._sets[group % self.num_sets]
-        for entry in ways:
+        for entry in self._sets.get(group % self.num_sets, ()):
             if entry.valid and entry.tag // self.group_size == group:
                 entry.singleton = singleton
 
     def occupancy(self) -> int:
         """Number of valid entries across all sets."""
         return sum(
-            1 for ways in self._sets for entry in ways if entry.valid
+            1 for ways in self._sets.values() for entry in ways if entry.valid
         )
 
     def hit_rate(self) -> float:

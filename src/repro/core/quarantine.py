@@ -138,15 +138,11 @@ class RowQuarantineArea:
         return self.rpt.valid_count()
 
     def stale_slots(self, current_epoch: int) -> list:
-        """Slots holding rows quarantined before ``current_epoch``.
+        """Slots holding rows quarantined before ``current_epoch``,
+        in ascending slot order.
 
         Used by the optional background drain (Sec. IV-D notes that
         moving out old rows can be taken off the critical path by
         periodically draining old entries).
         """
-        return [
-            slot
-            for slot in range(self.num_slots)
-            if self.rpt.entry(slot).valid
-            and self.rpt.entry(slot).epoch < current_epoch
-        ]
+        return self.rpt.stale_slots(current_epoch)

@@ -5,13 +5,18 @@ The RPT is a direct-mapped structure with one entry per quarantine slot
 address of the row occupying that slot, plus (in this model) the epoch
 in which the slot was filled -- the datum behind the security rule that
 *an RQA slot is never reused within the epoch it was filled*.
+
+The hardware table is provisioned for every slot, but a run usually
+fills a handful of them, so the model creates an entry on the slot's
+first fill: an untouched slot reads as a never-filled entry without
+allocating anything.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -29,6 +34,10 @@ class RptEntry:
     epoch: int = -1
 
 
+_NEVER_FILLED = RptEntry()
+"""What every untouched slot reads as (shared; never mutated)."""
+
+
 class ReversePointerTable:
     """Direct-mapped slot -> row table with epoch tags."""
 
@@ -36,53 +45,71 @@ class ReversePointerTable:
         if num_slots < 1:
             raise ValueError("num_slots must be >= 1")
         self.num_slots = num_slots
-        self._entries: List[RptEntry] = [RptEntry() for _ in range(num_slots)]
+        #: Entries of the slots filled at least once, keyed by slot.
+        self._entries: Dict[int, RptEntry] = {}
+        self._valid = 0
 
     def _validate(self, slot: int) -> None:
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot {slot} outside RPT of {self.num_slots}")
 
     def entry(self, slot: int) -> RptEntry:
-        """The entry for ``slot`` (live object; do not mutate directly)."""
+        """The entry for ``slot`` (do not mutate it directly).
+
+        A filled slot returns its live entry; a never-filled slot
+        returns a shared default entry (invalid, epoch ``-1``).
+        """
         self._validate(slot)
-        return self._entries[slot]
+        return self._entries.get(slot, _NEVER_FILLED)
 
     def is_valid(self, slot: int) -> bool:
         """Whether ``slot`` currently holds a quarantined row."""
-        self._validate(slot)
-        return self._entries[slot].valid
+        return self.entry(slot).valid
 
     def install(self, slot: int, row_id: int, epoch: int) -> None:
         """Record that ``row_id`` now occupies ``slot`` (filled in ``epoch``)."""
         self._validate(slot)
         if row_id < 0:
             raise ValueError("row_id must be non-negative")
-        entry = self._entries[slot]
+        entry = self._entries.get(slot)
+        if entry is None:
+            self._entries[slot] = RptEntry(True, row_id, epoch)
+            self._valid += 1
+            return
+        if not entry.valid:
+            self._valid += 1
         entry.valid = True
         entry.row_id = row_id
         entry.epoch = epoch
 
     def invalidate(self, slot: int) -> Optional[int]:
         """Clear ``slot``; return the row it held, if any."""
-        self._validate(slot)
-        entry = self._entries[slot]
+        entry = self.entry(slot)
         if not entry.valid:
             return None
         row = entry.row_id
         entry.valid = False
         entry.row_id = -1
+        self._valid -= 1
         # entry.epoch is retained: see RptEntry docstring.
         return row
 
     def resident_row(self, slot: int) -> Optional[int]:
         """Row occupying ``slot``, or ``None`` if the slot is free."""
-        self._validate(slot)
-        entry = self._entries[slot]
+        entry = self.entry(slot)
         return entry.row_id if entry.valid else None
 
     def valid_count(self) -> int:
         """Number of occupied slots."""
-        return sum(1 for entry in self._entries if entry.valid)
+        return self._valid
+
+    def stale_slots(self, current_epoch: int) -> List[int]:
+        """Occupied slots filled before ``current_epoch``, ascending."""
+        return sorted(
+            slot
+            for slot, entry in self._entries.items()
+            if entry.valid and entry.epoch < current_epoch
+        )
 
     @staticmethod
     def sram_bytes(num_slots: int, row_pointer_bits: int = 21) -> int:

@@ -10,8 +10,9 @@ Three interleavings are supported:
   banks, the common open-page mapping which maximises bank-level
   parallelism for streaming workloads.
 * ``"blocked"`` -- a bank holds a contiguous range of row ids.
-* ``"scrambled"`` -- like interleaved, but the *physical array order*
-  of rows within a bank is a vendor-proprietary permutation of the
+* ``"scrambled"`` -- banks decode as in ``"blocked"`` (a bank holds a
+  contiguous range of row ids), but the *physical array order* of
+  rows within a bank is a vendor-proprietary permutation of the
   logical row number (real DRAMs remap rows internally for repair and
   layout reasons).  ``bank_row_of`` still returns the logical in-bank
   index the memory controller sees; :meth:`AddressMapper.neighbors`
@@ -25,6 +26,8 @@ at all.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.dram.geometry import DramGeometry, RowAddress
 
@@ -60,6 +63,20 @@ class AddressMapper:
         if self.policy == "interleaved":
             return row_id % self.geometry.banks_per_rank
         return row_id // self.geometry.rows_per_bank
+
+    def banks_of(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`bank_of` of every row in ``rows``, as an int64 array.
+
+        Raises the ``ValueError`` :meth:`bank_of` raises for the first
+        row outside the rank.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        outside = (rows < 0) | (rows >= self.geometry.rows_per_rank)
+        if outside.any():
+            self.geometry.validate_row(int(rows[np.argmax(outside)]))
+        if self.policy == "interleaved":
+            return rows % self.geometry.banks_per_rank
+        return rows // self.geometry.rows_per_bank
 
     def bank_row_of(self, row_id: int) -> int:
         """Row index within its bank for ``row_id``."""

@@ -18,8 +18,9 @@ timestamps.
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,6 +98,18 @@ class MitigationScheme(abc.ABC):
         self._postpone_until_ns = 0.0
         self.postponed_refreshes = 0
         self.tracker_drops = 0
+
+    def _clock(self) -> Callable[[], float]:
+        """A simulated-time source (:attr:`now_ns`) to lend to owned
+        structures -- the RQA, trackers, table backends.
+
+        It reads the scheme through a weak reference: a closure over
+        ``self`` held by a structure the scheme owns would close a
+        reference cycle, and every finished scheme would then live on
+        until the next full garbage-collection pass.
+        """
+        scheme = weakref.ref(self)
+        return lambda: scheme().now_ns
 
     def attach_faults(self, injector) -> None:
         """Wire a :class:`~repro.faults.FaultInjector` into the scheme.

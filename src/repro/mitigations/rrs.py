@@ -66,11 +66,9 @@ class RandomizedRowSwap(MitigationScheme):
         self.geometry = geometry
         self.timing = timing
         self.swap_threshold = max(1, rowhammer_threshold // RRS_THRESHOLD_DIVISOR)
-        banks = geometry.banks_per_rank
         self.tracker = MisraGriesTracker(
             self.swap_threshold,
-            num_banks=banks,
-            bank_of=lambda row: row % banks,
+            num_banks=geometry.banks_per_rank,
             entries_per_bank=tracker_entries_per_bank,
         )
         self._rng = random.Random(seed)
@@ -86,9 +84,7 @@ class RandomizedRowSwap(MitigationScheme):
         self.swaps = 0
         self.unswaps = 0
         if self.telemetry.enabled:
-            self.tracker.attach_telemetry(
-                self.telemetry, lambda: self.now_ns
-            )
+            self.tracker.attach_telemetry(self.telemetry, self._clock())
             publish_costs(
                 self.telemetry,
                 MigrationCosts.for_row(geometry.row_bytes, timing),

@@ -64,6 +64,7 @@ class VictimRefresh(MitigationScheme):
             self.threshold,
             num_banks=banks,
             bank_of=self.mapper.bank_of,
+            banks_of=self.mapper.banks_of,
             entries_per_bank=tracker_entries_per_bank,
         )
 

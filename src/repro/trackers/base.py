@@ -10,7 +10,7 @@ window, a row never reaches ``T_RH`` activations without a mitigation.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -230,23 +230,41 @@ class PerBankTracker(AggressorTracker):
 
     Graphene (and hence RRS and AQUA) provision the Misra-Gries summary
     per bank, because the activation budget ``ACTmax`` is a per-bank
-    bound.  ``bank_of`` maps a physical row id to its bank.
+    bound.  ``bank_of`` maps a physical row id to its bank and
+    ``banks_of`` maps an int64 row array elementwise the same way; both
+    default to the interleaved ``row % num_banks``.  A custom
+    ``bank_of`` without a ``banks_of`` is applied row by row.
     """
 
     def __init__(
         self,
         threshold: int,
         num_banks: int,
-        bank_of: Callable[[int], int],
+        bank_of: Optional[Callable[[int], int]] = None,
+        *,
         factory: Callable[[int], AggressorTracker],
+        banks_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         super().__init__(threshold)
         if num_banks < 1:
             raise ValueError("num_banks must be >= 1")
+        if bank_of is None:
+            bank_of = lambda row: row % num_banks  # noqa: E731
+            banks_of = lambda rows: rows % num_banks  # noqa: E731
+        elif banks_of is None:
+            banks_of = lambda rows: np.fromiter(  # noqa: E731
+                map(bank_of, rows.tolist()), dtype=np.int64, count=len(rows)
+            )
         self._bank_of = bank_of
+        self._banks_of = banks_of
         self._banks: Dict[int, AggressorTracker] = {
             bank: factory(threshold) for bank in range(num_banks)
         }
+
+    def bank_ids(self, rows: np.ndarray) -> np.ndarray:
+        """The bank of every row in ``rows`` (int64, elementwise
+        ``bank_of``): how the epoch predicates partition a stream."""
+        return self._banks_of(rows)
 
     def attach_telemetry(
         self, telemetry, clock: Callable[[], float]
@@ -322,11 +340,7 @@ class PerBankTracker(AggressorTracker):
         """Partition the rows by bank and ask each bank tracker."""
         if len(unique_rows) == 0:
             return True
-        bank_ids = np.fromiter(
-            (self._bank_of(row) for row in unique_rows.tolist()),
-            dtype=np.int64,
-            count=len(unique_rows),
-        )
+        bank_ids = self.bank_ids(unique_rows)
         for bank, tracker in self._banks.items():
             mask = bank_ids == bank
             if not mask.any():
@@ -347,11 +361,7 @@ class PerBankTracker(AggressorTracker):
         if len(unique_rows) == 0:
             return np.ones(0, dtype=bool)
         out = np.ones(len(unique_rows), dtype=bool)
-        bank_ids = np.fromiter(
-            (self._bank_of(row) for row in unique_rows.tolist()),
-            dtype=np.int64,
-            count=len(unique_rows),
-        )
+        bank_ids = self.bank_ids(unique_rows)
         for bank, tracker in self._banks.items():
             mask = bank_ids == bank
             if not mask.any():
@@ -373,13 +383,8 @@ class PerBankTracker(AggressorTracker):
         """
         total = int(counts.sum())
         self.observations += total
-        bank_ids = np.fromiter(
-            (self._bank_of(row) for row in rows.tolist()),
-            dtype=np.int64,
-            count=len(rows),
-        )
         per_bank = np.bincount(
-            bank_ids, weights=counts, minlength=len(self._banks)
+            self.bank_ids(rows), weights=counts, minlength=len(self._banks)
         ).astype(np.int64)
         for bank, tracker in self._banks.items():
             tracker.observations += int(per_bank[bank])

@@ -39,7 +39,7 @@ constant.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -305,16 +305,16 @@ class MisraGriesTracker(PerBankTracker):
         self,
         threshold: int,
         num_banks: int = 16,
-        bank_of: Callable[[int], int] = None,
-        entries_per_bank: int = None,
+        bank_of: Optional[Callable[[int], int]] = None,
+        entries_per_bank: Optional[int] = None,
+        banks_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
-        if bank_of is None:
-            bank_of = lambda row: row % num_banks  # noqa: E731
         super().__init__(
             threshold,
             num_banks,
             bank_of,
             factory=lambda t: MisraGriesBank(t, capacity=entries_per_bank),
+            banks_of=banks_of,
         )
 
     @property

@@ -1,5 +1,6 @@
 """Tracker base class contracts."""
 
+import numpy as np
 import pytest
 
 from repro.trackers.base import PerBankTracker
@@ -55,3 +56,43 @@ class TestPerBankStats:
         assert tracker.observations == 5
         assert tracker.bank_tracker(0).observations == 4
         assert tracker.bank_tracker(1).observations == 1
+
+
+class TestBankIds:
+    """``bank_ids`` partitions a row array exactly as per-row routing."""
+
+    ROWS = np.array([0, 1, 2, 3, 7, 8, 15, 16, 1023, 4097], dtype=np.int64)
+
+    def _routed(self, tracker):
+        banks = []
+        for row in self.ROWS.tolist():
+            before = [
+                tracker.bank_tracker(b).observations for b in range(4)
+            ]
+            tracker.observe(row)
+            after = [
+                tracker.bank_tracker(b).observations for b in range(4)
+            ]
+            banks.append(
+                next(b for b in range(4) if after[b] != before[b])
+            )
+        return banks
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"bank_of": lambda r: (r // 3) % 4},
+            {
+                "bank_of": lambda r: (r // 3) % 4,
+                "banks_of": lambda rows: (rows // 3) % 4,
+            },
+        ],
+        ids=["interleaved", "scalar-only", "scalar-and-vector"],
+    )
+    def test_matches_routing(self, kwargs):
+        tracker = PerBankTracker(
+            threshold=1000, num_banks=4,
+            factory=lambda t: ExactTracker(t), **kwargs,
+        )
+        assert tracker.bank_ids(self.ROWS).tolist() == self._routed(tracker)
