@@ -7,18 +7,9 @@ the integration point used by the attack harness and integration tests;
 the performance sweeps use the lighter :mod:`repro.sim` layer on top.
 """
 
-from repro.controller.request import MemoryRequest
-from repro.controller.copy_buffer import CopyBuffer
 from repro.controller.memctrl import AccessRecord, MemoryController
-from repro.controller.scheduler import FrFcfsScheduler, QueuedRequest
-from repro.controller.scheduled import ScheduledMemoryController
 
 __all__ = [
-    "MemoryRequest",
-    "CopyBuffer",
     "AccessRecord",
     "MemoryController",
-    "FrFcfsScheduler",
-    "QueuedRequest",
-    "ScheduledMemoryController",
 ]

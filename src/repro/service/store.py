@@ -1,8 +1,9 @@
 """Persistent job store: an append-only, fsynced JSONL journal.
 
-The store reuses the :mod:`repro.sim.checkpoint` durability discipline
--- one canonical JSON record per line, flushed *and* fsynced before the
-caller proceeds -- applied to job lifecycles instead of run results:
+The store is a :class:`~repro.sim.journal.Journal` (the durability rule
+of DESIGN.md §8: every record is fsynced before the caller proceeds,
+and a torn trailing line is truncated away and counted on reopen),
+applied to job lifecycles instead of run results:
 
 ::
 
@@ -16,23 +17,18 @@ Replay folds the records forward: a job's effective state is its last
 recovery re-enqueues every job whose effective state is ``queued`` or
 ``running`` -- *exactly once per job*, because jobs are keyed by ID and
 duplicate ``job`` records (impossible in normal operation, possible
-from a torn copy) collapse onto one entry.  A truncated trailing line,
-the signature of a crash mid-write, is truncated away and counted,
-exactly as :meth:`repro.sim.checkpoint.SweepCheckpoint.resume` does --
-removed rather than merely skipped, so the first record appended after
-restart can never glue onto the torn fragment and corrupt itself.
+from a torn copy) collapse onto one entry.  A record of the wrong shape
+is skipped whole and counted in ``skipped_lines``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.core.canon import canonical_dumps
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.service.jobs import JOB_STATES, Job, JobSpec
-from repro.sim.checkpoint import repair_torn_tail
+from repro.sim.journal import Journal, checked_header, replay_records
 
 STORE_VERSION = 1
 
@@ -40,118 +36,73 @@ STORE_VERSION = 1
 class JobStore:
     """Durable journal of every submission and state transition."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, journal: Journal) -> None:
+        self.path = journal.path
         self.jobs: Dict[str, Job] = {}
         """Jobs by ID, in submission order (dict preserves insertion)."""
         self.next_seq = 1
         self.skipped_lines = 0
-        self._fh = None
+        self._journal = journal
 
     # ------------------------------------------------------------ lifecycle
 
     @classmethod
     def open(cls, path: str) -> "JobStore":
         """Open ``path``, replaying it if it exists, creating it if not."""
-        store = cls(path)
-        if os.path.exists(path):
-            # Remove (and count) a torn trailing line *before* reopening
-            # in append mode, or the first post-restart record would be
-            # glued onto the fragment and lost on the next replay.
-            if repair_torn_tail(path):
-                store.skipped_lines += 1
-            store._replay()
-            store._fh = open(path, "a", encoding="utf-8")
-        else:
-            store._fh = open(path, "w", encoding="utf-8")
-            store._append({"record": "header", "version": STORE_VERSION})
+        if not os.path.exists(path):
+            return cls(Journal.create(path, {"record": "header", "version": STORE_VERSION}))
+        journal, records, skipped = Journal.reopen(path)
+        store = cls(journal)
+        headers: List[dict] = []
+        store.skipped_lines = skipped + replay_records(
+            records,
+            {
+                "header": headers.append,
+                "job": store._replay_job,
+                "state": store._replay_state,
+            },
+        )
+        try:
+            checked_header(path, headers, STORE_VERSION, "job store")
+        except ConfigError:
+            journal.close()
+            raise
         return store
 
-    def _replay(self) -> None:
-        header = None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(record, dict):
-                    self.skipped_lines += 1
-                    continue
-                kind = record.get("record")
-                if kind == "header":
-                    header = record
-                elif kind == "job":
-                    self._replay_job(record)
-                elif kind == "state":
-                    self._replay_state(record)
-                else:
-                    self.skipped_lines += 1
-        if header is None:
-            raise ConfigError(
-                f"job store {self.path!r} has no header record; not a "
-                f"service store (or corrupted beyond recovery)"
-            )
-        if header.get("version") != STORE_VERSION:
-            raise ConfigError(
-                f"job store {self.path!r} is version "
-                f"{header.get('version')}, this build reads version "
-                f"{STORE_VERSION}"
-            )
-
     def _replay_job(self, record: dict) -> None:
-        try:
-            spec = JobSpec.from_dict(record["spec"])
-            job = Job(
-                id=str(record["id"]),
-                seq=int(record["seq"]),
-                spec=spec,
-                digest=str(record["digest"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            self.skipped_lines += 1
-            return
+        job = Job(
+            id=str(record["id"]),
+            seq=int(record["seq"]),
+            spec=JobSpec.from_dict(record["spec"]),
+            digest=str(record["digest"]),
+        )
         # Keyed by ID: a duplicated record collapses, keeping replay
         # exactly-once no matter how the file was produced.
         self.jobs[job.id] = job
         self.next_seq = max(self.next_seq, job.seq + 1)
 
     def _replay_state(self, record: dict) -> None:
-        job = self.jobs.get(record.get("id"))
-        state = record.get("state")
-        if job is None or state not in JOB_STATES:
-            self.skipped_lines += 1
-            return
-        job.state = state
-        job.attempts = int(record.get("attempts", job.attempts))
-        job.from_cache = bool(record.get("from_cache", job.from_cache))
-        job.run_failures = int(
-            record.get("run_failures", job.run_failures)
-        )
+        # Convert every field before touching the job, so a malformed
+        # record is skipped whole instead of half-applied.
+        job = self.jobs[record["id"]]
+        state = record["state"]
+        if state not in JOB_STATES:
+            raise ValueError(f"unknown job state {state!r}")
+        attempts = int(record.get("attempts", job.attempts))
+        from_cache = bool(record.get("from_cache", job.from_cache))
+        run_failures = int(record.get("run_failures", job.run_failures))
         error = record.get("error")
+        job.state = state
+        job.attempts = attempts
+        job.from_cache = from_cache
+        job.run_failures = run_failures
         job.error = str(error) if error is not None else None
 
     # -------------------------------------------------------------- writing
 
-    def _append(self, record: dict) -> None:
-        fh = self._fh
-        if fh is None:
-            raise SimulationError(f"job store {self.path!r} is closed")
-        fh.write(canonical_dumps(record))
-        fh.write("\n")
-        # Same contract as the sweep checkpoint: the record must be
-        # durable before the server acts on it, or a crash could lose
-        # an accepted job.
-        fh.flush()
-        os.fsync(fh.fileno())
-
     def append_job(self, job: Job) -> None:
         """Durably record one accepted submission."""
-        self._append(
+        self._journal.append(
             {
                 "record": "job",
                 "seq": job.seq,
@@ -165,7 +116,7 @@ class JobStore:
 
     def append_state(self, job: Job) -> None:
         """Durably record ``job``'s current state fields."""
-        self._append(
+        self._journal.append(
             {
                 "record": "state",
                 "id": job.id,
@@ -181,9 +132,7 @@ class JobStore:
         return self.jobs.get(job_id)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._journal.close()
 
     def __enter__(self) -> "JobStore":
         return self

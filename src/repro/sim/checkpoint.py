@@ -2,10 +2,10 @@
 
 A :class:`SweepCheckpoint` is an append-only JSONL file recording one
 sweep's progress: a header line pinning the sweep's parameters, then
-one result line per completed (scheme, workload) run.  Each record is
-flushed *and* fsynced as it is written, so a run killed at any point
-loses at most the line it was writing -- and resume tolerates exactly
-that truncated trailing line.
+one result line per completed (scheme, workload) run.  It is a
+:class:`~repro.sim.journal.Journal`, so every record is durable when
+:meth:`SweepCheckpoint.record` returns, and resume removes and counts
+the torn line a killed run leaves behind.
 
 Resuming (``repro sweep --resume``) replays the file: the header must
 match the requested sweep (same schemes, threshold, epochs, seed --
@@ -25,12 +25,11 @@ Format (DESIGN.md §8)::
 from __future__ import annotations
 
 import glob
-import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.canon import canonical_dumps
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
+from repro.sim.journal import Journal, checked_header, replay_records
 from repro.sim.stats import WorkloadResult
 
 CHECKPOINT_VERSION = 1
@@ -39,68 +38,34 @@ RunKey = Tuple[str, str]
 """(scheme label, workload name) -- the unit of sweep progress."""
 
 
-def repair_torn_tail(path: str) -> bool:
-    """Truncate a trailing line that lost its newline (crash mid-write).
-
-    Replay already skips the torn fragment, but skipping alone is not
-    enough for a journal that is *reopened for appending*: the first
-    record written after restart would glue onto the fragment, forming
-    one invalid line that the next replay drops -- silently losing a
-    durably fsynced record.  Truncating the fragment before reopening
-    keeps append mode safe.  Returns whether a torn tail was removed,
-    so callers can count it exactly as they count skipped lines.
-    """
-    with open(path, "rb+") as fh:
-        fh.seek(0, os.SEEK_END)
-        size = fh.tell()
-        if size == 0:
-            return False
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return False
-        # Scan backwards for the last intact line ending.
-        pos = size
-        while pos > 0:
-            step = min(4096, pos)
-            pos -= step
-            fh.seek(pos)
-            chunk = fh.read(step)
-            cut = chunk.rfind(b"\n")
-            if cut >= 0:
-                fh.truncate(pos + cut + 1)
-                return True
-        fh.truncate(0)
-        return True
+def _decode_result(record: dict) -> Tuple[RunKey, WorkloadResult]:
+    """One ``result`` record's run key and result (raises on a record of
+    the wrong shape, see :data:`~repro.sim.journal.MALFORMED`)."""
+    result = WorkloadResult.from_dict(record["result"])
+    return (str(record["scheme"]), str(record["workload"])), result
 
 
 class SweepCheckpoint:
     """Append-only JSONL journal of completed sweep runs."""
 
-    def __init__(self, path: str, meta: dict) -> None:
-        self.path = path
+    def __init__(self, journal: Journal, meta: dict) -> None:
+        self.path = journal.path
         self.meta = dict(meta)
         self.completed: Dict[RunKey, WorkloadResult] = {}
         self.skipped_lines = 0
         self.skipped_writes = 0
         """Results that could not be canonically serialized (non-finite
         metrics) and were kept in memory but not journaled."""
-        self._fh = None
+        self._journal = journal
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
     def create(cls, path: str, meta: dict) -> "SweepCheckpoint":
         """Start a fresh checkpoint, truncating any existing file."""
-        checkpoint = cls(path, meta)
-        checkpoint._fh = open(path, "w", encoding="utf-8")
-        checkpoint._append(
-            {
-                "record": "header",
-                "version": CHECKPOINT_VERSION,
-                "meta": checkpoint.meta,
-            }
-        )
-        return checkpoint
+        meta = dict(meta)
+        header = {"record": "header", "version": CHECKPOINT_VERSION, "meta": meta}
+        return cls(Journal.create(path, header), meta)
 
     @classmethod
     def resume(cls, path: str, meta: Optional[dict] = None) -> "SweepCheckpoint":
@@ -111,89 +76,35 @@ class SweepCheckpoint:
         :class:`~repro.errors.ConfigError` instead of silently mixing
         incompatible results.  A truncated trailing line (the crash
         artifact of a killed run) is truncated away and counted in
-        ``skipped_lines`` -- removed, not just skipped, so the records
-        this resume appends can never glue onto the torn fragment.
-        Corruption anywhere else is tolerated and counted too, so
-        resume salvages every intact record.
+        ``skipped_lines`` (see :meth:`Journal.reopen
+        <repro.sim.journal.Journal.reopen>`).  Corruption anywhere else
+        is tolerated and counted too, so resume salvages every intact
+        record.
         """
         if not os.path.exists(path):
             raise ConfigError(f"checkpoint {path!r} does not exist")
-        header = None
-        results: List[dict] = []
-        skipped = 1 if repair_torn_tail(path) else 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(record, dict):
-                    skipped += 1
-                    continue
-                kind = record.get("record")
-                if kind == "header":
-                    header = record
-                elif kind == "result":
-                    results.append(record)
-                else:
-                    skipped += 1
-        if header is None:
-            raise ConfigError(
-                f"checkpoint {path!r} has no header record; not a sweep "
-                f"checkpoint (or corrupted beyond recovery)"
-            )
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"checkpoint {path!r} is version {header.get('version')}, "
-                f"this build reads version {CHECKPOINT_VERSION}"
-            )
-        stored_meta = header.get("meta", {})
-        if meta is not None and dict(meta) != dict(stored_meta):
-            mismatched = sorted(
-                set(meta) | set(stored_meta),
-            )
-            detail = ", ".join(
-                f"{key}: requested {meta.get(key)!r} vs stored "
-                f"{stored_meta.get(key)!r}"
-                for key in mismatched
-                if meta.get(key) != stored_meta.get(key)
-            )
-            raise ConfigError(
-                f"checkpoint {path!r} was written by a different sweep "
-                f"({detail}); start a fresh checkpoint instead"
-            )
-        checkpoint = cls(path, stored_meta)
+        journal, records, skipped = Journal.reopen(path)
+        headers: List[dict] = []
+        completed: Dict[RunKey, WorkloadResult] = {}
+
+        def replay_result(record: dict) -> None:
+            key, result = _decode_result(record)
+            completed[key] = result
+
+        skipped += replay_records(
+            records, {"header": headers.append, "result": replay_result}
+        )
+        try:
+            stored_meta = _header_meta(path, headers, meta)
+        except ConfigError:
+            journal.close()
+            raise
+        checkpoint = cls(journal, stored_meta)
         checkpoint.skipped_lines = skipped
-        for record in results:
-            try:
-                result = WorkloadResult.from_dict(record["result"])
-                key = (str(record["scheme"]), str(record["workload"]))
-            except (KeyError, TypeError, ValueError):
-                checkpoint.skipped_lines += 1
-                continue
-            checkpoint.completed[key] = result
-        checkpoint._fh = open(path, "a", encoding="utf-8")
+        checkpoint.completed = completed
         return checkpoint
 
     # ----------------------------------------------------------------- writing
-
-    def _append(self, record: dict) -> None:
-        self._append_line(canonical_dumps(record))
-
-    def _append_line(self, line: str) -> None:
-        fh = self._fh
-        if fh is None:
-            raise SimulationError(f"checkpoint {self.path!r} is closed")
-        fh.write(line)
-        fh.write("\n")
-        # Crash safety: the record must be durable before the runner
-        # moves on, or a kill could lose a finished run.
-        fh.flush()
-        os.fsync(fh.fileno())
 
     def record(self, scheme: str, workload: str, result: WorkloadResult) -> None:
         """Durably record one completed run.
@@ -205,7 +116,7 @@ class SweepCheckpoint:
         of the journal write aborting the whole sweep mid-run.
         """
         try:
-            line = canonical_dumps(
+            self._journal.append(
                 {
                     "record": "result",
                     "scheme": scheme,
@@ -215,9 +126,6 @@ class SweepCheckpoint:
             )
         except ConfigError:
             self.skipped_writes += 1
-            self.completed[(scheme, workload)] = result
-            return
-        self._append_line(line)
         self.completed[(scheme, workload)] = result
 
     def has(self, scheme: str, workload: str) -> bool:
@@ -225,15 +133,40 @@ class SweepCheckpoint:
         return (scheme, workload) in self.completed
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._journal.close()
 
     def __enter__(self) -> "SweepCheckpoint":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _header_meta(path: str, headers: List[dict], meta: Optional[dict]) -> dict:
+    """The sweep parameters of a checkpoint's (last) header record,
+    checked against the requested ``meta``."""
+    header = checked_header(path, headers, CHECKPOINT_VERSION, "sweep checkpoint")
+    stored_meta = header.get("meta", {})
+    if not isinstance(stored_meta, dict):
+        raise ConfigError(
+            f"checkpoint {path!r} has a malformed header: meta must be an "
+            f"object (got {type(stored_meta).__name__})"
+        )
+    if meta is not None and dict(meta) != stored_meta:
+        mismatched = sorted(
+            set(meta) | set(stored_meta),
+        )
+        detail = ", ".join(
+            f"{key}: requested {meta.get(key)!r} vs stored "
+            f"{stored_meta.get(key)!r}"
+            for key in mismatched
+            if meta.get(key) != stored_meta.get(key)
+        )
+        raise ConfigError(
+            f"checkpoint {path!r} was written by a different sweep "
+            f"({detail}); start a fresh checkpoint instead"
+        )
+    return stored_meta
 
 
 # ------------------------------------------------------- worker-side journals
@@ -264,29 +197,31 @@ def append_result_record(
 
     Opens, fsyncs, and closes per record: worker journals are written
     once per completed run (seconds apart), and short-lived descriptors
-    survive pool shutdown and crash-isolation restarts.
+    survive pool shutdown and crash-isolation restarts.  A sidecar has
+    no header, so the first record creates it; later ones reopen it,
+    which also truncates a torn line left by a killed worker whose pid
+    this worker reuses.
 
     Returns whether the record was journaled: a result that cannot be
     canonically serialized (non-finite metrics) is dropped -- the run
     still reaches the parent through the pool's normal return path; it
     just is not crash-durable.
     """
+    record = {
+        "record": "result",
+        "scheme": scheme,
+        "workload": workload,
+        "result": result_dict,
+    }
     try:
-        line = canonical_dumps(
-            {
-                "record": "result",
-                "scheme": scheme,
-                "workload": workload,
-                "result": result_dict,
-            }
-        )
+        if os.path.exists(path):
+            journal, _, _ = Journal.reopen(path)
+            with journal:
+                journal.append(record)
+        else:
+            Journal.create(path, record).close()
     except ConfigError:
         return False
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
     return True
 
 
@@ -296,31 +231,18 @@ def load_result_records(
     """Tolerantly read result records from a (headerless) journal.
 
     Returns ``(records, skipped)``; corrupt lines -- the truncated tail
-    of a killed worker -- are counted, never fatal, mirroring
+    of a killed worker -- are counted, never fatal, exactly as in
     :meth:`SweepCheckpoint.resume`.
     """
+    journal, lines, skipped = Journal.reopen(path)
+    journal.close()
     records: List[Tuple[str, str, WorkloadResult]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict) or record.get("record") != "result":
-                skipped += 1
-                continue
-            try:
-                result = WorkloadResult.from_dict(record["result"])
-                key = (str(record["scheme"]), str(record["workload"]))
-            except (KeyError, TypeError, ValueError):
-                skipped += 1
-                continue
-            records.append((key[0], key[1], result))
+
+    def replay_result(record: dict) -> None:
+        (scheme, workload), result = _decode_result(record)
+        records.append((scheme, workload, result))
+
+    skipped += replay_records(lines, {"result": replay_result})
     return records, skipped
 
 

@@ -26,7 +26,6 @@ from repro.telemetry.events import (
     DEFAULT_CAPACITY,
     EventTracer,
     TraceEvent,
-    load_trace,
     load_trace_lenient,
     write_chrome_trace,
     write_jsonl,
@@ -57,7 +56,6 @@ __all__ = [
     "Telemetry",
     "TraceEvent",
     "TraceSummary",
-    "load_trace",
     "load_trace_lenient",
     "render_series_table",
     "render_summary",

@@ -170,47 +170,27 @@ def write_chrome_trace(
     return len(trace_events)
 
 
-def load_trace(path: str) -> List[dict]:
+def load_trace_lenient(path: str) -> Tuple[List[dict], int]:
     """Read a trace back as a list of flat event dicts.
 
     Accepts both export formats: JSONL (one object per line) and the
     Chrome trace-event JSON (``{"traceEvents": [...]}``), which is
     normalised back to the JSONL shape (``ts_ns``/``kind`` + attrs).
+    Returns ``(records, skipped)`` where ``skipped`` counts JSONL lines
+    that failed to parse (truncated trailing writes from a killed run,
+    disk corruption, editor damage).  Valid Chrome-trace documents
+    never skip; a Chrome-trace file that fails to parse as a whole
+    falls back to line-by-line JSONL recovery, salvaging whatever
+    parses.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    # Imported on call: repro.sim imports repro.core, which imports
+    # this module.
+    from repro.sim.journal import decode_lines
+
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        document = json.loads(text)
-    except ValueError:
-        document = None  # more than one line: JSONL
-    if isinstance(document, dict) and "traceEvents" in document:
-        records = []
-        for entry in document["traceEvents"]:
-            record = {
-                "ts_ns": float(entry.get("ts", 0.0)) * 1_000.0,
-                "kind": entry.get("name", "unknown"),
-            }
-            record.update(entry.get("args", {}))
-            records.append(record)
-        return records
-    return [
-        json.loads(line) for line in text.splitlines() if line.strip()
-    ]
-
-
-def load_trace_lenient(path: str) -> Tuple[List[dict], int]:
-    """Like :func:`load_trace`, but tolerate corrupt JSONL lines.
-
-    Returns ``(records, skipped)`` where ``skipped`` counts lines that
-    failed to parse (truncated trailing writes from a killed run, disk
-    corruption, editor damage).  Valid Chrome-trace documents never
-    skip; a Chrome-trace file that fails to parse as a whole falls back
-    to line-by-line JSONL recovery, salvaging whatever parses.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        document = json.loads(text)
+        document = json.loads(data)
     except ValueError:
         document = None
     if isinstance(document, dict) and "traceEvents" in document:
@@ -223,18 +203,4 @@ def load_trace_lenient(path: str) -> Tuple[List[dict], int]:
             record.update(entry.get("args", {}))
             records.append(record)
         return records, 0
-    records = []
-    skipped = 0
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            skipped += 1
-            continue
-        if not isinstance(record, dict):
-            skipped += 1
-            continue
-        records.append(record)
-    return records, skipped
+    return decode_lines(data.split(b"\n"))

@@ -1,7 +1,7 @@
 """Trace summarisation backing ``python -m repro inspect``.
 
 Consumes the flat event dicts produced by
-:func:`repro.telemetry.events.load_trace` (either export format) and
+:func:`repro.telemetry.events.load_trace_lenient` (either export format) and
 derives the three standing diagnostics:
 
 * event counts by kind (and by workload, when the trace is tagged),

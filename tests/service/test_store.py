@@ -121,6 +121,44 @@ class TestCrashTolerance:
             assert store.jobs == {}
 
 
+class TestMalformedRecords:
+    """Valid JSON of the wrong shape is skipped and counted, never fatal:
+    a store the server cannot replay is a server that cannot restart."""
+
+    def _store_with_running_job(self, path):
+        job = Job.create(1, spec())
+        with JobStore.open(path) as store:
+            store.append_job(job)
+            job.state = "running"
+            job.attempts = 1
+            store.append_state(job)
+        return job
+
+    def test_null_attempts_skips_the_whole_state_record(self, tmp_path):
+        path = str(tmp_path / "jobs.jsonl")
+        job = self._store_with_running_job(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(canonical_dumps(
+                {"record": "state", "id": job.id, "state": "done",
+                 "attempts": None}
+            ) + "\n")
+        with JobStore.open(path) as store:
+            assert store.skipped_lines == 1
+            replayed = store.get(job.id)
+            # Nothing of the bad record was applied, not even its state.
+            assert replayed.state == "running"
+            assert replayed.attempts == 1
+
+    def test_unhashable_state_id_is_skipped(self, tmp_path):
+        path = str(tmp_path / "jobs.jsonl")
+        job = self._store_with_running_job(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id":["x"],"record":"state","state":"done"}\n')
+        with JobStore.open(path) as store:
+            assert store.skipped_lines == 1
+            assert store.get(job.id).state == "running"
+
+
 class TestHeaderGuards:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

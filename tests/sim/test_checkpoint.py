@@ -4,8 +4,13 @@ import json
 
 import pytest
 
+from repro.core.canon import canonical_dumps
 from repro.errors import ConfigError
-from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim.checkpoint import (
+    SweepCheckpoint,
+    append_result_record,
+    load_result_records,
+)
 from repro.sim.stats import WorkloadResult
 
 
@@ -124,6 +129,47 @@ class TestCrashTolerance:
         path = tmp_path / "junk.jsonl"
         path.write_text('{"record": "result"}\n')
         with pytest.raises(ConfigError, match="no header"):
+            SweepCheckpoint.resume(str(path))
+
+
+class TestMalformedRecords:
+    """Valid JSON of the wrong shape is skipped and counted, never fatal."""
+
+    @pytest.mark.parametrize("bad", [[1], "x", 5, None])
+    def test_non_object_result_skipped_by_sidecar_load(self, tmp_path, bad):
+        sidecar = str(tmp_path / "ck.jsonl.w1.jsonl")
+        assert append_result_record(
+            sidecar, "aqua-sram", "xz", result_for("xz").to_dict()
+        )
+        with open(sidecar, "a", encoding="utf-8") as fh:
+            fh.write(canonical_dumps(
+                {"record": "result", "scheme": "aqua-sram",
+                 "workload": "gcc", "result": bad}
+            ) + "\n")
+        records, skipped = load_result_records(sidecar)
+        assert [(s, w) for s, w, _ in records] == [("aqua-sram", "xz")]
+        assert skipped == 1
+
+    @pytest.mark.parametrize("bad", [[1], "x", 5, None])
+    def test_non_object_result_skipped_by_resume(self, tmp_path, bad):
+        path = str(tmp_path / "ck.jsonl")
+        with SweepCheckpoint.create(path, META) as checkpoint:
+            checkpoint.record("aqua-sram", "xz", result_for("xz"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(canonical_dumps(
+                {"record": "result", "scheme": "aqua-sram",
+                 "workload": "gcc", "result": bad}
+            ) + "\n")
+        with SweepCheckpoint.resume(path, META) as resumed:
+            assert set(resumed.completed) == {("aqua-sram", "xz")}
+            assert resumed.skipped_lines == 1
+
+    def test_non_object_meta_is_a_config_error(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        path.write_text('{"meta":[1,2],"record":"header","version":1}\n')
+        with pytest.raises(ConfigError, match="meta"):
+            SweepCheckpoint.resume(str(path), META)
+        with pytest.raises(ConfigError, match="meta"):
             SweepCheckpoint.resume(str(path))
 
 

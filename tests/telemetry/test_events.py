@@ -6,7 +6,7 @@ import pytest
 
 from repro.telemetry.events import (
     EventTracer,
-    load_trace,
+    load_trace_lenient,
     write_chrome_trace,
     write_jsonl,
 )
@@ -79,7 +79,8 @@ class TestExport:
         tracer.emit("eviction", 250.0, row=9)
         path = str(tmp_path / "trace.jsonl")
         assert tracer.export_jsonl(path, extra={"workload": "gcc"}) == 2
-        records = load_trace(path)
+        records, skipped = load_trace_lenient(path)
+        assert skipped == 0
         assert records == [
             {"ts_ns": 100.0, "kind": "migration", "row": 7,
              "reason": "demand", "workload": "gcc"},
@@ -94,7 +95,9 @@ class TestExport:
         tracer = EventTracer()
         tracer.emit("migration", 1.0)
         tracer.export_jsonl(path)
-        assert load_trace(path) == [{"ts_ns": 1.0, "kind": "migration"}]
+        assert load_trace_lenient(path) == (
+            [{"ts_ns": 1.0, "kind": "migration"}], 0
+        )
 
     def test_chrome_round_trip_preserves_ts_and_args(self, tmp_path):
         tracer = EventTracer()
@@ -109,7 +112,8 @@ class TestExport:
         assert entry["name"] == "migration"
         assert entry["ph"] == "i"
         assert entry["ts"] == 2.0  # microseconds
-        records = load_trace(path)
+        records, skipped = load_trace_lenient(path)
+        assert skipped == 0
         assert records[0]["ts_ns"] == 2_000.0
         assert records[0]["kind"] == "migration"
         assert records[0]["row"] == 3
@@ -135,6 +139,7 @@ class TestExport:
         path = str(tmp_path / "trace.jsonl")
         count = write_jsonl(path, [(event, None), (event, {"w": "a"})])
         assert count == 2
-        records = load_trace(path)
+        records, skipped = load_trace_lenient(path)
+        assert skipped == 0
         assert "w" not in records[0]
         assert records[1]["w"] == "a"
