@@ -22,6 +22,7 @@ if hammered (the PTHammer defense of Sec. VI-B).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -242,104 +243,117 @@ class AquaMitigation(MitigationScheme):
     ) -> None:
         """Vectorized epoch feed; exact-equivalent to the scalar loop.
 
-        Instrumented epochs (telemetry and/or faults attached) run
-        :meth:`_instrumented_epoch`.  Clean epochs take one of two
-        regimes (DESIGN.md §11):
+        One fused Python loop over the chunk arrays feeds the tracker's
+        fast kernel directly (DESIGN.md §11).  Rows whose bloom group
+        (memory-mapped) or FPT entry (SRAM) may be mapped pay a real
+        lookup; the rest are identity lookups counted in bulk at epoch
+        end, and only chunks that cross take the quarantine path.
 
-        * **Eventless skip** -- when no row is quarantined, no table row
-          is pinned, and the tracker proves the epoch's per-row totals
-          cannot cross the threshold, every lookup is bloom-filtered
-          identity and every observation is crossing-free, so the whole
-          epoch settles as bulk counter arithmetic.
-        * **Fused loop** -- otherwise, a single Python loop over the
-          chunk arrays feeds the tracker's fast kernel directly.  Rows
-          whose bloom group (memory-mapped) or FPT entry (SRAM) cannot
-          be mapped skip the translation machinery entirely and settle
-          their lookup counters in bulk at epoch end; only chunks that
-          may be quarantined -- or that the kernel flags (spurious
-          installs) -- take the full translate/quarantine path.
+        A clean epoch first tries the **eventless skip**: when no row is
+        quarantined, no table row is pinned, and the tracker proves the
+        per-row totals cannot cross the threshold, the whole epoch
+        settles as bulk counter arithmetic.  Otherwise chunks the
+        tracker proves settle-safe skip the loop body (sparse feed).
+
+        An instrumented epoch (telemetry and/or faults attached) runs
+        the same loop with both shortcuts off, so every chunk is fed;
+        its head chunks go through :meth:`_instrumented_head`, and each
+        chunk stamps ``now_ns`` and records its lookup latency before
+        its pre-drawn ``tracker_drop`` check fires.  The latencies reach
+        the ``fpt_lookup_ns`` histogram in one bulk observe at epoch
+        end, before the simulator's epoch snapshot reads it.
         """
         span = self._fast_epoch_span(rows, counts, start_ns, dt_ns)
         if span is None:
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
-        if self.instrumented:
-            return self._instrumented_epoch(rows, counts, start_ns, dt_ns)
         total, last_now = span
-        self._sync_epoch(start_ns)
+        instrumented = self.instrumented
         tables = self.tables
         tracker = self.tracker
         stats = self.stats
         mm = isinstance(tables, MemoryMappedTables)
-        mapped = len(tables.dram_fpt) if mm else len(tables.fpt)
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        totals = np.bincount(
-            inverse, weights=counts, minlength=len(uniq)
-        ).astype(np.int64)
-        if mapped == 0 and not self._pinned_fpt:
-            if tracker.epoch_cannot_cross(uniq, totals):
+        if not instrumented:
+            self._sync_epoch(start_ns)
+            uniq, inverse = np.unique(rows, return_inverse=True)
+            totals = np.bincount(
+                inverse, weights=counts, minlength=len(uniq)
+            ).astype(np.int64)
+            mapped = len(tables.dram_fpt) if mm else len(tables.fpt)
+            if (
+                mapped == 0
+                and not self._pinned_fpt
+                and tracker.epoch_cannot_cross(uniq, totals)
+            ):
                 stats.accesses += total
                 tracker.settle_epoch_counters(rows, counts)
                 self._settle_cold_lookups(total)
                 self.now_ns = last_now
                 return
+            feed = tracker.sparse_feed_mask(uniq, totals, self._tracker_reserve)
+        rows_l = rows.tolist()
+        counts_l = counts.tolist()
+        if instrumented:
+            start, now = self._instrumented_head(
+                rows_l, counts_l, start_ns, dt_ns
+            )
+            head_acts = sum(counts_l[:start])
+            if start:
+                rows = rows[start:]
+                rows_l = rows_l[start:]
+                counts_l = counts_l[start:]
+            feed_l = repeat(True)
+        else:
+            now = start_ns
+            head_acts = 0
+            feed_l = feed[inverse].tolist()
+        dirty, keys_l = self._mappable_keys(rows, rows_l)
+        cold_ns = tables.BLOOM_NS if mm else tables.LOOKUP_NS
         nb = self._tracker_mod_banks
         direct = self._bank_kernels()
         kernel = tracker.chunk_kernel() if direct is None else None
-        feed = tracker.sparse_feed_mask(uniq, totals, self._tracker_reserve)
-        feed_l = feed[inverse].tolist()
-        rows_l = rows.tolist()
-        counts_l = counts.tolist()
-        dirty, keys_l = self._mappable_keys(rows, rows_l)
         translate = self._translate_batch
         quarantine = self._quarantine
-        now = start_ns
+        drops = self._tracker_drop_block(len(rows_l))
+        latencies: list = []
+        record = latencies.append
         cold_acts = 0
-        settled_acts = 0
         trig_sum = 0
         settle_rows: list = []
         settle_counts: list = []
-        for row, cnt, key, fd in zip(rows_l, counts_l, keys_l, feed_l):
+        for k, (row, cnt, key, fd) in enumerate(
+            zip(rows_l, counts_l, keys_l, feed_l)
+        ):
+            stats.accesses += cnt
             if key in dirty:
                 self.now_ns = now
-                stats.accesses += cnt
-                physical = translate(row, cnt)[0]
-                crossings = (
-                    direct[physical % nb](physical, cnt)
-                    if direct is not None
-                    else kernel(physical, cnt)
-                )
+                physical, lookup_ns, _ = translate(row, cnt)
             elif fd:
-                # Provably unmapped: identity translation whose only
-                # effect is commutative lookup counters, settled in
-                # bulk below.  The tracker still sees the chunk.
-                stats.accesses += cnt
-                crossings = (
-                    direct[row % nb](row, cnt)
-                    if direct is not None
-                    else kernel(row, cnt)
-                )
-                if crossings:
-                    # Rare spurious install: pay the (bloom-filtered)
-                    # lookup now instead of in the bulk settle, then
-                    # mitigate exactly as the scalar path would.
-                    self.now_ns = now
-                    physical = translate(row, cnt)[0]
-                else:
-                    cold_acts += cnt
-                    now += cnt * dt_ns
-                    continue
+                # Provably unmapped: an identity lookup whose only
+                # effect is commutative counters, settled in bulk below.
+                physical = row
+                lookup_ns = cold_ns
+                cold_acts += cnt
             else:
                 # Unmapped *and* settle-safe: the tracker proved this
                 # row cannot cross and that omitting it cannot perturb
                 # any other row, so the chunk is pure bulk accounting.
-                stats.accesses += cnt
                 cold_acts += cnt
-                settled_acts += cnt
                 settle_rows.append(row)
                 settle_counts.append(cnt)
                 now += cnt * dt_ns
                 continue
+            if instrumented:
+                self.now_ns = now
+                record(lookup_ns)
+                if k in drops:
+                    self._fire_tracker_drop(drops[k], physical)
+            crossings = (
+                direct[physical % nb](physical, cnt)
+                if direct is not None
+                else kernel(physical, cnt)
+            )
             if crossings:
+                self.now_ns = now  # a clean cold chunk has not stamped it
                 trig_sum += crossings
                 busy = 0.0
                 stall = 0.0
@@ -353,8 +367,9 @@ class AquaMitigation(MitigationScheme):
                 dirty.add(key)
             now += cnt * dt_ns
         if direct is not None:
-            # Rank-level counters for the fed chunks, settled in bulk.
-            tracker.observations += total - settled_acts
+            # Rank-level counters for the fed chunks, settled in bulk
+            # (the head chunks' ``observe_batch`` kept its own).
+            tracker.observations += total - head_acts - sum(settle_counts)
             tracker.triggers += trig_sum
         if settle_rows:
             tracker.settle_epoch_counters(
@@ -362,13 +377,17 @@ class AquaMitigation(MitigationScheme):
                 np.asarray(settle_counts, dtype=np.int64),
             )
         self._settle_cold_lookups(cold_acts)
+        if instrumented:
+            self.telemetry.observe_many(
+                "fpt_lookup_ns", latencies, scheme=self.name
+            )
         self.now_ns = last_now
 
     def _bank_kernels(self) -> Optional[list]:
         """Per-bank ``observe_fast`` kernels for direct dispatch, or ``None``.
 
         When the ART is the modulo-mapped Misra-Gries tracker, the
-        fused loops call the bank kernels straight and settle the
+        fused loop calls the bank kernels straight and settles the
         rank-level counters in bulk afterwards (they are commutative
         integer sums; table-row observes go through ``observe_batch``,
         which maintains its own rank counters, so they are unaffected).
@@ -381,15 +400,15 @@ class AquaMitigation(MitigationScheme):
     def _mappable_keys(
         self, rows: np.ndarray, rows_l: list
     ) -> Tuple[set, list]:
-        """The fused loops' dirty set and each chunk's key into it
+        """The fused loop's dirty set and each chunk's key into it
         (``rows_l`` is ``rows.tolist()``).
 
         Memory-mapped: the bloom-positive groups (a bit is set iff its
         group is in ``_valid_in_group``, so these are exactly the groups
         a lookup would not filter) and each row's group.  SRAM: the
         mapped rows and the rows themselves.  A chunk whose key is not
-        dirty is an identity lookup.  The loops add a key whenever they
-        quarantine its row; releases only ever turn keys clean, which
+        dirty is an identity lookup.  The loop adds a key whenever it
+        quarantines its row; releases only ever turn keys clean, which
         merely sends their rows down the (still exact) full path.
         """
         tables = self.tables
@@ -411,92 +430,6 @@ class AquaMitigation(MitigationScheme):
             tables.bloom.filtered += n
         else:
             tables.fpt.lookups += n
-
-    def _instrumented_epoch(
-        self,
-        rows: np.ndarray,
-        counts: np.ndarray,
-        start_ns: float,
-        dt_ns: float,
-    ) -> None:
-        """Fused feed of an epoch with telemetry and/or faults attached.
-
-        Bit-identical to the scalar loop -- results, the event stream in
-        order, metrics and fault schedules (DESIGN.md §8).  Unlike the
-        clean loop it feeds every chunk (install events and
-        ``tracker_drop`` checks are per chunk), so there is no eventless
-        skip or sparse settle.  Each chunk keeps the scalar order --
-        ``now_ns``, translate, the ``tracker_drop`` check, tracker feed,
-        quarantine -- and the dirty-set split: only rows whose bloom
-        group (memory-mapped) or FPT entry (SRAM) may be mapped pay a
-        real lookup, the rest are identity lookups counted in bulk.
-        The ``tracker_drop`` checks are drawn as one block up front and
-        fired at their chunks; the lookup latencies reach the
-        ``fpt_lookup_ns`` histogram in one bulk observe at epoch end,
-        before the simulator's epoch snapshot reads it.
-        """
-        rows_l = rows.tolist()
-        counts_l = counts.tolist()
-        start, now = self._instrumented_head(rows_l, counts_l, start_ns, dt_ns)
-        tables = self.tables
-        tracker = self.tracker
-        stats = self.stats
-        dirty, keys_l = self._mappable_keys(rows[start:], rows_l[start:])
-        cold_ns = (
-            tables.BLOOM_NS
-            if isinstance(tables, MemoryMappedTables)
-            else tables.LOOKUP_NS
-        )
-        nb = self._tracker_mod_banks
-        direct = self._bank_kernels()
-        kernel = tracker.chunk_kernel() if direct is None else None
-        translate = self._translate_batch
-        quarantine = self._quarantine
-        drops = self._tracker_drop_block(len(rows_l) - start)
-        latencies: list = []
-        record = latencies.append
-        cold_acts = 0
-        trig_sum = 0
-        for k, (row, cnt, key) in enumerate(
-            zip(rows_l[start:], counts_l[start:], keys_l)
-        ):
-            self.now_ns = now
-            stats.accesses += cnt
-            if key in dirty:
-                physical, lookup_ns, _ = translate(row, cnt)
-            else:
-                physical = row
-                lookup_ns = cold_ns
-                cold_acts += cnt
-            record(lookup_ns)
-            if k in drops:
-                self._fire_tracker_drop(drops[k], physical)
-            crossings = (
-                direct[physical % nb](physical, cnt)
-                if direct is not None
-                else kernel(physical, cnt)
-            )
-            if crossings:
-                trig_sum += crossings
-                busy = 0.0
-                stall = 0.0
-                for _ in range(crossings):
-                    step = quarantine(row, physical, now)
-                    busy += step.busy_ns
-                    stall += step.stalled_ns
-                    physical = step.physical_row
-                stats.busy_ns += busy
-                stats.stall_ns += stall
-                dirty.add(key)
-            now += cnt * dt_ns
-        if direct is not None:
-            tracker.observations += int(counts[start:].sum())
-            tracker.triggers += trig_sum
-        self._settle_cold_lookups(cold_acts)
-        self.telemetry.observe_many(
-            "fpt_lookup_ns", latencies, scheme=self.name
-        )
-
 
     # -------------------------------------------------------------- internals
 

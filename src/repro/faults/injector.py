@@ -71,6 +71,23 @@ NULL_INJECTOR = NullFaultInjector()
 """The singleton every un-faulted component shares."""
 
 
+def _check_rates(fault_rate: float, rates: Dict[str, float]) -> None:
+    """Reject an out-of-range rate or an unknown site name."""
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ConfigError(
+            f"fault_rate must be in [0, 1] (got {fault_rate})"
+        )
+    for site, rate in rates.items():
+        if site not in FAULT_SITES:
+            raise ConfigError(
+                f"unknown fault site {site!r}; choose from {FAULT_SITES}"
+            )
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigError(
+                f"rate for site {site!r} must be in [0, 1] (got {rate})"
+            )
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """Picklable recipe for building a :class:`FaultInjector` per run.
@@ -84,13 +101,18 @@ class FaultSpec:
     rates) -- never on which worker ran it or in what order.
 
     ``rates`` is a tuple of ``(site, rate)`` pairs (a dict is not
-    hashable or deterministic to pickle); :meth:`build` validates the
-    sites and ranges via the :class:`FaultInjector` constructor.
+    hashable or deterministic to pickle); :meth:`validate` applies the
+    site and range checks of the :class:`FaultInjector` constructor
+    that :meth:`build` calls.
     """
 
     seed: int = 0
     fault_rate: float = 0.0
     rates: Tuple[Tuple[str, float], ...] = ()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` where :meth:`build` would."""
+        _check_rates(self.fault_rate, dict(self.rates))
 
     def build(self, scope: str, telemetry=None) -> "FaultInjector":
         """Derive the deterministic injector for one run point."""
@@ -122,6 +144,10 @@ class FaultSpec:
     @staticmethod
     def from_dict(data: dict) -> "FaultSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"FaultSpec must be an object (got {type(data).__name__})"
+            )
         try:
             rates = tuple(
                 (str(site), float(rate)) for site, rate in data.get("rates", [])
@@ -131,7 +157,7 @@ class FaultSpec:
                 fault_rate=float(data.get("fault_rate", 0.0)),
                 rates=rates,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed FaultSpec dict: {exc}") from exc
 
 
@@ -166,20 +192,8 @@ class FaultInjector:
         scope: str = "",
         telemetry=None,
     ) -> None:
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ConfigError(
-                f"fault_rate must be in [0, 1] (got {fault_rate})"
-            )
         rates = dict(rates) if rates else {}
-        for site, rate in rates.items():
-            if site not in FAULT_SITES:
-                raise ConfigError(
-                    f"unknown fault site {site!r}; choose from {FAULT_SITES}"
-                )
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(
-                    f"rate for site {site!r} must be in [0, 1] (got {rate})"
-                )
+        _check_rates(fault_rate, rates)
         self.seed = seed
         self.scope = scope
         self.fault_rate = fault_rate

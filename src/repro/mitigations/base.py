@@ -354,12 +354,17 @@ class MitigationScheme(abc.ABC):
         This scalar loop *defines* the semantics: subclasses that
         override it with fused or vectorized paths must produce
         bit-identical results (the equivalence suites enforce this).
-        The overrides of AQUA (both table modes) and RRS also run
-        instrumented epochs -- telemetry and/or faults attached -- on
-        a fused loop that reproduces the scalar event stream, metrics
-        and fault schedules exactly (DESIGN.md §8, §11); blockhammer,
-        victim-refresh and the baseline fall back to this loop
-        whenever :attr:`instrumented` is true.
+        The overrides of AQUA (both table modes) and RRS run
+        instrumented epochs -- telemetry and/or faults attached --
+        through their one fused loop too: being instrumented only
+        sends the head chunks through :meth:`_instrumented_head`, turns
+        off the clean shortcuts (eventless skip, sparse-feed settle),
+        stamps ``now_ns``, records the lookup latency and fires the
+        pre-drawn ``tracker_drop`` check per chunk, and adds one bulk
+        ``fpt_lookup_ns`` observe per epoch, reproducing the scalar
+        event stream, metrics and fault schedules exactly (DESIGN.md
+        §8, §11).  Blockhammer, victim-refresh and the baseline fall
+        back to this loop whenever :attr:`instrumented` is true.
         """
         access_batch = self.access_batch
         now = start_ns

@@ -156,40 +156,60 @@ class RandomizedRowSwap(MitigationScheme):
         The RIT lookup is a dict probe and swaps draw from a seeded RNG
         in stream order, so the stream must be walked chunk-by-chunk --
         but the per-chunk :meth:`access_batch` framing (AccessResult
-        construction, telemetry branches) is fused away, and an epoch
-        with no swapped rows and a provably crossing-free stream
-        settles as bulk counter arithmetic.  Instrumented epochs take
-        :meth:`_instrumented_epoch` instead.
+        construction, telemetry branches) is fused away.  A clean epoch
+        with no swapped rows and a provably crossing-free stream settles
+        as bulk counter arithmetic instead.  An instrumented epoch runs
+        the same loop without that skip: its head chunks go through
+        :meth:`_instrumented_head`, every chunk stamps ``now_ns`` (install
+        and fault events read it) before its pre-drawn ``tracker_drop``
+        check fires, and the constant-latency lookups reach the
+        ``fpt_lookup_ns`` histogram in one bulk observe at epoch end.
         """
         span = self._fast_epoch_span(rows, counts, start_ns, dt_ns)
         if span is None:
             return self._scalar_epoch(rows, counts, start_ns, dt_ns)
-        if self.instrumented:
-            return self._instrumented_epoch(rows, counts, start_ns, dt_ns)
         total, last_now = span
-        self._sync_epoch(start_ns)
+        instrumented = self.instrumented
         tracker = self.tracker
         stats = self.stats
-        if not self._map:
-            uniq, inverse = np.unique(rows, return_inverse=True)
-            totals = np.bincount(
-                inverse, weights=counts, minlength=len(uniq)
-            ).astype(np.int64)
-            # With an empty RIT every translation is the identity, so
-            # the logical totals are the physical totals the tracker
-            # would see; a crossing-free verdict settles everything.
-            if tracker.epoch_cannot_cross(uniq, totals):
-                stats.accesses += total
-                tracker.settle_epoch_counters(rows, counts)
-                self.now_ns = last_now
-                return
+        if not instrumented:
+            self._sync_epoch(start_ns)
+            if not self._map:
+                uniq, inverse = np.unique(rows, return_inverse=True)
+                totals = np.bincount(
+                    inverse, weights=counts, minlength=len(uniq)
+                ).astype(np.int64)
+                # With an empty RIT every translation is the identity,
+                # so the logical totals are the physical totals the
+                # tracker would see; a crossing-free verdict settles
+                # everything.
+                if tracker.epoch_cannot_cross(uniq, totals):
+                    stats.accesses += total
+                    tracker.settle_epoch_counters(rows, counts)
+                    self.now_ns = last_now
+                    return
+        rows_l = rows.tolist()
+        counts_l = counts.tolist()
+        if instrumented:
+            start, now = self._instrumented_head(
+                rows_l, counts_l, start_ns, dt_ns
+            )
+            if start:
+                rows_l = rows_l[start:]
+                counts_l = counts_l[start:]
+        else:
+            now = start_ns
         kernel = tracker.chunk_kernel()
         map_get = self._map.get
         mitigate = self._mitigate
-        now = start_ns
-        for row, cnt in zip(rows.tolist(), counts.tolist()):
+        drops = self._tracker_drop_block(len(rows_l))
+        for k, (row, cnt) in enumerate(zip(rows_l, counts_l)):
             stats.accesses += cnt
             physical = map_get(row, row)
+            if instrumented:
+                self.now_ns = now
+                if k in drops:
+                    self._fire_tracker_drop(drops[k], physical)
             crossings = kernel(physical, cnt)
             if crossings:
                 self.now_ns = now
@@ -200,52 +220,13 @@ class RandomizedRowSwap(MitigationScheme):
                     physical = step.physical_row
                 stats.busy_ns += busy
             now += cnt * dt_ns
+        if instrumented:
+            self.telemetry.observe_many(
+                "fpt_lookup_ns",
+                [self.RIT_LOOKUP_NS] * len(rows_l),
+                scheme=self.name,
+            )
         self.now_ns = last_now
-
-    def _instrumented_epoch(
-        self,
-        rows: np.ndarray,
-        counts: np.ndarray,
-        start_ns: float,
-        dt_ns: float,
-    ) -> None:
-        """Fused feed of an epoch with telemetry and/or faults attached.
-
-        Bit-identical to the scalar loop, events and fault schedules
-        included (DESIGN.md §8): every chunk is fed, in stream order,
-        with ``now_ns`` set first (install and fault events read it);
-        the ``tracker_drop`` checks are drawn as one block and fired at
-        their chunks; the constant-latency lookups reach the
-        ``fpt_lookup_ns`` histogram in one bulk observe at epoch end.
-        """
-        rows_l = rows.tolist()
-        counts_l = counts.tolist()
-        start, now = self._instrumented_head(rows_l, counts_l, start_ns, dt_ns)
-        stats = self.stats
-        kernel = self.tracker.chunk_kernel()
-        map_get = self._map.get
-        mitigate = self._mitigate
-        drops = self._tracker_drop_block(len(rows_l) - start)
-        for k, (row, cnt) in enumerate(zip(rows_l[start:], counts_l[start:])):
-            self.now_ns = now
-            stats.accesses += cnt
-            physical = map_get(row, row)
-            if k in drops:
-                self._fire_tracker_drop(drops[k], physical)
-            crossings = kernel(physical, cnt)
-            if crossings:
-                busy = 0.0
-                for _ in range(crossings):
-                    step = mitigate(row, physical, now)
-                    busy += step.busy_ns
-                    physical = step.physical_row
-                stats.busy_ns += busy
-            now += cnt * dt_ns
-        self.telemetry.observe_many(
-            "fpt_lookup_ns",
-            [self.RIT_LOOKUP_NS] * (len(rows_l) - start),
-            scheme=self.name,
-        )
 
     # -------------------------------------------------------------- internals
 

@@ -443,34 +443,51 @@ class ServiceServer:
             return _json_response(400, {"error": "request timed out"})
 
     async def _read_and_route(self, reader: asyncio.StreamReader) -> bytes:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            return _json_response(400, {"error": "malformed request line"})
-        method, target, _version = parts
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return _json_response(
-                        400, {"error": "bad Content-Length"}
-                    )
-        if content_length < 0:
-            return _json_response(400, {"error": "bad Content-Length"})
-        if content_length > MAX_BODY_BYTES:
-            return _json_response(400, {"error": "request body too large"})
-        body = (
-            await reader.readexactly(content_length)
-            if content_length
-            else b""
-        )
-        path = urlsplit(target).path
+        try:
+            request_line = await reader.readline()
+            parts = request_line.decode("latin-1").split()
+            if len(parts) != 3:
+                return _json_response(
+                    400, {"error": "malformed request line"}
+                )
+            method, target, _version = parts
+            content_length = 0
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    try:
+                        content_length = int(value.strip())
+                    except ValueError:
+                        return _json_response(
+                            400, {"error": "bad Content-Length"}
+                        )
+            if content_length < 0:
+                return _json_response(400, {"error": "bad Content-Length"})
+            if content_length > MAX_BODY_BYTES:
+                return _json_response(
+                    400, {"error": "request body too large"}
+                )
+            body = (
+                await reader.readexactly(content_length)
+                if content_length
+                else b""
+            )
+        except asyncio.IncompleteReadError:
+            return _json_response(
+                400, {"error": "body shorter than Content-Length"}
+            )
+        except ValueError:
+            # StreamReader.readline: a line over the reader's limit.
+            return _json_response(
+                400, {"error": "request line or header too long"}
+            )
+        try:
+            path = urlsplit(target).path
+        except ValueError:
+            return _json_response(400, {"error": "malformed request target"})
         return self._route(method.upper(), path, body)
 
     # -------------------------------------------------------------- routing
@@ -520,7 +537,7 @@ class ServiceServer:
             )
         try:
             data = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
+        except (UnicodeDecodeError, ValueError, RecursionError):
             return _json_response(400, {"error": "body is not valid JSON"})
         try:
             spec = JobSpec.from_dict(

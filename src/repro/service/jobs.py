@@ -105,6 +105,8 @@ class JobSpec:
             raise ConfigError(
                 f"max_attempts must be >= 1 (got {self.max_attempts})"
             )
+        if self.fault_spec is not None:
+            self.fault_spec.validate()
 
     # ------------------------------------------------------------- expansion
 
@@ -208,7 +210,7 @@ class JobSpec:
                     FaultSpec.from_dict(fault) if fault is not None else None
                 ),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed job spec: {exc}") from exc
